@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet bench profile ci
+.PHONY: all build test race lint fmt vet bench profile perfbench-smoke ci
 
 all: build
 
@@ -72,6 +72,19 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "wrote cpu.pprof and mem.pprof — inspect with: $(GO) tool pprof {cpu,mem}.pprof"
 
+# perfbench-smoke builds the repository benchmark (_perfbench, a nested
+# module that `go build ./...` and `go test ./...` skip because of its
+# leading underscore) against this tree and runs its short smoke test, so
+# a change to the serve or core API that breaks the benchmark fails the
+# gate. The environment is the one _perfbench/run.sh exports: every file
+# the build writes stays under $(PERFBENCH_BUILD).
+PERFBENCH_BUILD ?= $(if $(CARGO_TARGET_DIR),$(CARGO_TARGET_DIR),$(CURDIR)/.bench_build)
+perfbench-smoke:
+	mkdir -p $(PERFBENCH_BUILD)/gocache $(PERFBENCH_BUILD)/tmp $(PERFBENCH_BUILD)/config
+	cd _perfbench && GOCACHE=$(PERFBENCH_BUILD)/gocache TMPDIR=$(PERFBENCH_BUILD)/tmp \
+		XDG_CONFIG_HOME=$(PERFBENCH_BUILD)/config GOPATH=$(PERFBENCH_BUILD)/gopath \
+		GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod $(GO) test -short .
+
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -81,4 +94,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet lint build test race
+ci: fmt vet lint build test race perfbench-smoke

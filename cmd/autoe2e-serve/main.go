@@ -1,12 +1,12 @@
 // Command autoe2e-serve runs the simulation-as-a-service server: an
-// HTTP/JSON front end over the zero-allocation session runtime. Requests
-// are coalesced into per-worker batches (size/max-wait flush), admission
-// is bounded with explicit 429 backpressure, and SIGINT/SIGTERM drains
-// every accepted request before exit.
+// HTTP/JSON front end over the zero-allocation session runtime. Each free
+// worker takes the oldest admitted run off the queue onto its warm
+// session, admission is bounded with explicit 429 backpressure, and
+// SIGINT/SIGTERM drains every accepted request before exit.
 //
 // Usage:
 //
-//	autoe2e-serve [-addr :8080] [-workers N] [-batch 16] [-maxwait 2ms] [-queue N]
+//	autoe2e-serve [-addr :8080] [-workers N] [-queue N] [-drain 30s]
 //
 // Endpoints:
 //
@@ -30,24 +30,34 @@ import (
 	"github.com/autoe2e/autoe2e/internal/serve"
 )
 
+// Connection timeouts. Request bodies are small specs (at most 1 MiB), so
+// a client that cannot send one within readTimeout is stalled, not slow.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("autoe2e-serve: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "session workers (default GOMAXPROCS)")
-	batch := flag.Int("batch", 0, "max batch size before flush (default 16)")
-	maxWait := flag.Duration("maxwait", 0, "max batch wait before flush (default 2ms)")
-	queue := flag.Int("queue", 0, "admission queue depth (default 4*workers*batch)")
+	queue := flag.Int("queue", 0, "admission queue depth (default 64*workers)")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
 	flag.Parse()
 
-	srv := serve.NewServer(serve.Options{
-		Workers:    *workers,
-		MaxBatch:   *batch,
-		MaxWait:    *maxWait,
-		QueueDepth: *queue,
-	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	srv := serve.NewServer(serve.Options{Workers: *workers, QueueDepth: *queue})
+	// WriteTimeout stays unset: a legal 4096-run sweep can take minutes to
+	// compute before its first byte, and no per-request cost cap bounds
+	// that yet.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errc := make(chan error, 1)
 	go func() {

@@ -25,8 +25,8 @@ var wallClockFuncs = map[string]bool{
 // because a replayed seed would no longer replay the run.
 //
 // One package is sanctioned for wall-clock use: internal/serve, the
-// network-facing batch server, whose batch flush timers, latency metrics
-// and Retry-After estimates are *about* wall time. The exemption covers
+// network-facing batch server, whose per-stage latency stamps and
+// Retry-After estimates are *about* wall time. The exemption covers
 // only the time-package check — math/rand and env-branching stay forbidden
 // there, and simulation results must remain a pure function of the request
 // (the serve golden tests pin that).

@@ -1,7 +1,7 @@
 //lintpath:github.com/autoe2e/autoe2e/internal/serve
 
-// The sanctioned wall-clock package: internal/serve runs batch flush
-// timers and latency metrics on real time by design. Only the
+// The sanctioned wall-clock package: internal/serve stamps latencies and
+// estimates Retry-After on real time by design. Only the
 // time-package check is lifted there — randomness and env branching stay
 // forbidden, and the exemption does not leak to sibling internal packages
 // (pos.go pins those).

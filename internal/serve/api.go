@@ -1,7 +1,8 @@
 // Package serve is the network-facing face of the batch runtime: a
 // long-running HTTP/JSON service that admits simulation run requests and
-// sweep campaigns, coalesces them into per-worker session batches, and
-// answers with summary JSON or columnar binary traces.
+// sweep campaigns into a bounded queue, drains it with work-conserving
+// session workers, and answers with summary JSON or columnar binary
+// traces.
 //
 // The paper positions AutoE2E as middleware; this package is the
 // deployment shape of the reproduction — simulation as a service. The hot
@@ -12,9 +13,9 @@
 // allocations on top of the run itself (pinned by the alloc-gate test).
 //
 // Unlike every other internal package, serve lives on the wall clock by
-// design — batch flush timers, latency metrics, Retry-After estimates.
-// The nodeterminism analyzer sanctions exactly this package for
-// wall-clock use; simulation time stays inside the sessions.
+// design — per-stage latency stamps, Retry-After estimates. The
+// nodeterminism analyzer sanctions exactly this package for wall-clock
+// use; simulation time stays inside the sessions.
 package serve
 
 import (
@@ -91,6 +92,12 @@ func parseMode(s string) (core.Mode, error) {
 	}
 }
 
+// maxSystems caps the interned-system cache. Past it an arbitrary entry is
+// dropped before a new spec is interned, so a client cycling synthetic
+// seeds cannot grow server memory without bound. A dropped spec that comes
+// back is interned afresh; sessions warm on the old pointer rebuild once.
+const maxSystems = 256
+
 // systemCache interns resolved task systems by spec, so every request for
 // the same workload shares one *System pointer — the identity Session
 // warm-run reuse keys on.
@@ -132,13 +139,19 @@ func resolveSystem(ws WorkloadSpec) (*taskmodel.System, error) {
 	if systemCache.m == nil {
 		systemCache.m = make(map[WorkloadSpec]*taskmodel.System)
 	}
+	if len(systemCache.m) >= maxSystems {
+		for k := range systemCache.m {
+			delete(systemCache.m, k)
+			break
+		}
+	}
 	systemCache.m[ws] = sys
 	return sys, nil
 }
 
 // shapeKey identifies the session shape a request needs: the system
-// identity plus the middleware arm. Requests with equal keys batch
-// together and run back-to-back on one warm session.
+// identity plus the middleware arm. A worker keeps one warm session per
+// key, so requests with equal keys reuse it.
 type shapeKey struct {
 	wl   WorkloadSpec
 	mode core.Mode
@@ -156,11 +169,11 @@ type resolved struct {
 	colfmt    bool
 	shape     shapeKey
 
-	// gate, when non-nil, parks the worker before the run until the channel
-	// is closed. Test support only (never settable from the wire): the
-	// backpressure tests use it to hold a worker busy deterministically
-	// instead of racing against simulation wall time.
-	gate chan struct{}
+	// hook, when non-nil, runs on the worker just before the run. Test
+	// support only (never settable from the wire): tests use it to park a
+	// worker deterministically instead of racing against simulation wall
+	// time, or to inject a panic into one run.
+	hook func()
 }
 
 // resolve validates a RunSpec and interns its workload. It is the single

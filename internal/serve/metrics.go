@@ -7,10 +7,10 @@ import (
 )
 
 // Timing is the flat per-request stage breakdown, in wall nanoseconds:
-// queue_wait is admission to dispatcher pickup, batch_wait is batch
-// membership to worker start, run is the simulation itself, serialize is
-// response encoding. Every response carries its own Timing; the registry
-// aggregates them for the /v1/metrics endpoint.
+// queue_wait is admission to worker pickup, batch_wait is pickup to run
+// start (≈0; only a test hook waits there), run is the simulation itself,
+// serialize is response encoding. Every response carries its own Timing;
+// the registry aggregates them for the /v1/metrics endpoint.
 type Timing struct {
 	QueueWaitNs int64
 	BatchWaitNs int64
@@ -18,7 +18,7 @@ type Timing struct {
 	SerializeNs int64
 }
 
-// TotalNs is the end-to-end service time the batcher controlled.
+// TotalNs is the end-to-end service time the runtime controlled.
 func (t Timing) TotalNs() int64 {
 	return t.QueueWaitNs + t.BatchWaitNs + t.RunNs + t.SerializeNs
 }
@@ -137,6 +137,7 @@ type Registry struct {
 	unavail   atomic.Uint64 // 503s: draining
 	completed atomic.Uint64 // responses delivered (success or run error)
 	runErrors atomic.Uint64 // runs that returned an error
+	panics    atomic.Uint64 // runs that panicked (answered 500, session dropped)
 
 	// runEWMA tracks a smoothed per-run wall time (ns) for Retry-After
 	// estimates. Plain atomic store/load: workers race, precision is not
@@ -222,6 +223,7 @@ func (m *Registry) AppendCSV(dst []byte) []byte {
 		{"unavailable_503", m.unavail.Load()},
 		{"completed", m.completed.Load()},
 		{"run_errors", m.runErrors.Load()},
+		{"run_panics", m.panics.Load()},
 	} {
 		dst = append(dst, c.name...)
 		dst = append(dst, ',')

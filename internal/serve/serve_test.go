@@ -176,25 +176,31 @@ func TestRunGoldenColfmt(t *testing.T) {
 	}
 }
 
-// TestSweepGolden pins a sweep response to the library results for the
-// same per-seed configs, in seed order, for both body formats.
-func TestSweepGolden(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2, MaxBatch: 4})
-	seeds := []int64{3, 1, 4, 1, 5}
-
-	var wantCol []byte
-	wantCol = colfmt.AppendMagic(wantCol)
-	var wantSums [][]byte
+// librarySweep is the canonical sweep over seeds of the testbed spec the
+// sweep tests post: the colfmt body (magic + one run per seed) and each
+// seed's summary JSON, computed through core.RunAll.
+func librarySweep(t *testing.T, seeds []int64) (col []byte, sums [][]byte) {
+	t.Helper()
+	col = colfmt.AppendMagic(nil)
 	for _, seed := range seeds {
 		spec := RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.1, Noise: NoiseSpec{Spread: 0.15, Seed: seed}}
 		res, err := core.RunAll([]core.RunConfig{libraryConfig(t, &spec)}, 1)
 		if err != nil {
 			t.Fatalf("core.RunAll: %v", err)
 		}
-		wantCol = colfmt.AppendRun(wantCol, res[0].Trace)
+		col = colfmt.AppendRun(col, res[0].Trace)
 		r, _ := resolve(&spec)
-		wantSums = append(wantSums, appendSummary(nil, r.mode, r.durationS, res[0]))
+		sums = append(sums, appendSummary(nil, r.mode, r.durationS, res[0]))
 	}
+	return col, sums
+}
+
+// TestSweepGolden pins a sweep response to the library results for the
+// same per-seed configs, in seed order, for both body formats.
+func TestSweepGolden(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	seeds := []int64{3, 1, 4, 1, 5}
+	wantCol, wantSums := librarySweep(t, seeds)
 
 	t.Run("colfmt", func(t *testing.T) {
 		resp, got := postJSON(t, ts.URL+"/v1/sweep",
@@ -254,7 +260,7 @@ func TestValidation(t *testing.T) {
 // TestShutdownDrain asserts the graceful-shutdown contract: every request
 // accepted before Shutdown gets a complete response, none are dropped.
 func TestShutdownDrain(t *testing.T) {
-	s := NewServer(Options{Workers: 2, MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 256})
+	s := NewServer(Options{Workers: 2, QueueDepth: 256})
 	const n = 64
 	spec := RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.05, Noise: NoiseSpec{Spread: 0.1}}
 
@@ -305,96 +311,257 @@ func TestShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestBackpressure asserts the bounded-queue contract under overload:
-// admission never exceeds QueueDepth, the overflow is refused with 429 +
-// Retry-After (never buffered), and every accepted request completes.
-// The single worker is parked on a test gate so queue occupancy is
-// deterministic, not a race against simulation wall time.
-func TestBackpressure(t *testing.T) {
-	s := NewServer(Options{Workers: 1, MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: 2})
-	defer s.Close()
-
-	gate := make(chan struct{})
-	spec := RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.01}
-	res, err := resolve(&spec)
+// parkWorker enqueues a run whose hook parks the worker that picks it up,
+// and returns once it is parked. The returned release unparks it, checks
+// the parked run answered 200 and recycles it; it is idempotent, so a test
+// defers it (after deferring Close) to unpark on every exit path —
+// Close drains, and would wait forever on a parked worker.
+func parkWorker(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	res, err := resolve(&RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.gate = gate
+	parked, gate := make(chan struct{}), make(chan struct{})
+	res.hook = func() {
+		close(parked)
+		<-gate
+	}
 	hold := s.getPending()
 	hold.res = res
 	hold.standalone = true
 	if err := s.enqueue(hold); err != nil {
 		t.Fatalf("enqueue hold: %v", err)
 	}
-	// Wait for the idle worker to take the hold batch and park on the
-	// gate: the queue drains (used back to 0) the moment the dispatcher
-	// hands it off.
-	for s.metrics.Accepted() < 1 || s.used.Load() != 0 {
-		time.Sleep(50 * time.Microsecond)
+	<-parked
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(gate)
+			<-hold.done
+			if hold.status != http.StatusOK {
+				t.Errorf("parked run status = %d: %s", hold.status, hold.buf)
+			}
+			s.putPending(hold)
+		})
+	}
+}
+
+// TestBackpressure asserts the bounded-queue contract under overload:
+// admission never exceeds QueueDepth, the overflow is refused with 429 +
+// Retry-After (never buffered), and every accepted request completes.
+// The single worker is parked on a test hook so queue occupancy is
+// deterministic, not a race against simulation wall time.
+func TestBackpressure(t *testing.T) {
+	s := NewServer(Options{Workers: 1, QueueDepth: 2})
+	defer s.Close()
+	release := parkWorker(t, s)
+	defer release()
+	if used := s.used.Load(); used != 0 {
+		t.Fatalf("used = %d after pickup, want 0", used)
 	}
 
-	// Two fillers coalesce into one batch; the dispatcher flushes it and
-	// blocks handing it to the parked worker, so the queue stays drained
-	// but the pipeline is wedged.
+	// 3× overload: the parked run no longer holds a slot, so of six more
+	// requests exactly QueueDepth = 2 reserve slots and wait in the queue;
+	// the other four must get an immediate 429 — bounded memory, no
+	// unbounded buffering, no timeouts.
+	const extra = 6
 	fill := RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.01}
+	statuses := make([]int, extra)
 	var bg sync.WaitGroup
-	launch := func(wantOK bool) {
+	for i := range statuses {
 		bg.Add(1)
 		go func() {
 			defer bg.Done()
 			var resp Response
 			sp := fill
 			s.Execute(&sp, &resp)
-			if wantOK && resp.Status != http.StatusOK {
-				t.Errorf("status = %d, want 200: %s", resp.Status, resp.Body)
-			}
+			statuses[i] = resp.Status
 			if resp.Status == http.StatusTooManyRequests &&
 				!bytes.Contains(resp.Body, []byte(`"retry_after_s":`)) {
 				t.Errorf("429 body lacks retry_after_s: %s", resp.Body)
 			}
 		}()
 	}
-	launch(true)
-	launch(true)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.Accepted() < 3 {
+	for s.metrics.Accepted() < 3 || s.metrics.Rejected() < 4 {
 		if time.Now().After(deadline) {
-			t.Fatal("fillers never admitted")
+			t.Fatalf("accepted = %d, rejected = %d after overload; want 3 and 4",
+				s.metrics.Accepted(), s.metrics.Rejected())
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-
-	// 2× overload: QueueDepth is 2, so of four more requests exactly two
-	// can reserve slots; the rest must get an immediate 429 — bounded
-	// memory, no unbounded buffering, no timeouts.
-	for i := 0; i < 4; i++ {
-		launch(false)
-	}
-	for s.metrics.Rejected() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("rejected = %d after overload, want 2", s.metrics.Rejected())
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	if acc, rej := s.metrics.Accepted(), s.metrics.Rejected(); acc != 5 || rej != 2 {
-		t.Fatalf("accepted = %d, rejected = %d; want 5 and 2", acc, rej)
+	if acc, rej, used := s.metrics.Accepted(), s.metrics.Rejected(), s.used.Load(); acc != 3 || rej != 4 || used != 2 {
+		t.Fatalf("accepted = %d, rejected = %d, used = %d; want 3, 4 and 2", acc, rej, used)
 	}
 
-	close(gate)
-	<-hold.done
-	if hold.status != http.StatusOK {
-		t.Fatalf("hold status = %d: %s", hold.status, hold.buf)
-	}
-	s.putPending(hold)
+	release()
 	bg.Wait()
+	var ok, refused int
+	for _, st := range statuses {
+		switch st {
+		case http.StatusOK:
+			ok++
+		case http.StatusTooManyRequests:
+			refused++
+		}
+	}
+	if ok != 2 || refused != 4 {
+		t.Fatalf("statuses %v: %d OK and %d 429, want 2 and 4", statuses, ok, refused)
+	}
 	if acc, comp := s.metrics.Accepted(), s.metrics.Completed(); acc != comp {
 		t.Fatalf("accepted %d != completed %d after drain", acc, comp)
 	}
 }
 
+// TestSweepSpreadsOverFreeWorker pins work conservation: with one of two
+// workers parked, an 8-seed sweep still completes — every child runs on
+// the free worker — and its body is byte-identical to the library sweep.
+func TestSweepSpreadsOverFreeWorker(t *testing.T) {
+	s := NewServer(Options{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	release := parkWorker(t, s)
+	defer release()
+
+	want, _ := librarySweep(t, []int64{1, 2, 3, 4, 5, 6, 7, 8})
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(
+		`{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.15},"trace":"colfmt"},"count":8}`))
+	if err != nil {
+		t.Fatalf("sweep with one worker parked: %v", err)
+	}
+	defer resp.Body.Close()
+	var got bytes.Buffer
+	if _, err := got.ReadFrom(resp.Body); err != nil {
+		t.Fatalf("read body: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, got.Bytes())
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("sweep colfmt body diverges: got %d bytes, want %d", got.Len(), len(want))
+	}
+}
+
+// TestRunPanicIsolated pins the panic barrier: a run that panics answers
+// 500 for that request only and is counted, a sweep with a panicking child
+// fails only that child, accepted == completed still holds, and the
+// worker drops the session and serves the next same-shape run on a fresh
+// one, byte-identical to the library result.
+func TestRunPanicIsolated(t *testing.T) {
+	s := NewServer(Options{Workers: 1})
+	defer s.Close()
+	spec := goldenSpecs[1].spec
+	var resp Response
+	s.Execute(&spec, &resp) // warm the shape's session
+	if resp.Status != http.StatusOK {
+		t.Fatalf("warmup status = %d: %s", resp.Status, resp.Body)
+	}
+
+	res, err := resolve(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reading the table is safe once a response is back and before the
+	// next request: the worker is parked on the empty queue.
+	warm := s.sessions[0][res.shape]
+	boom := res
+	boom.hook = func() { panic("injected fault") }
+	p := s.getPending()
+	p.res = boom
+	p.standalone = true
+	if err := s.enqueue(p); err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	<-p.done
+	if p.status != http.StatusInternalServerError || !bytes.Contains(p.buf, []byte("injected fault")) {
+		t.Fatalf("panicking run: status %d, body %s; want 500 naming the panic", p.status, p.buf)
+	}
+	s.putPending(p)
+
+	parent := &sweepParent{children: make([]*pending, 3), done: make(chan struct{}, 1)}
+	for i := range parent.children {
+		c := s.getPending()
+		c.res = res
+		if i == 1 {
+			c.res = boom
+		}
+		c.parent = parent
+		parent.children[i] = c
+	}
+	if err := s.enqueueSweep(parent); err != nil {
+		t.Fatalf("enqueueSweep: %v", err)
+	}
+	<-parent.done
+	for i, c := range parent.children {
+		want := http.StatusOK
+		if i == 1 {
+			want = http.StatusInternalServerError
+		}
+		if c.status != want {
+			t.Errorf("sweep child %d: status %d, want %d: %s", i, c.status, want, c.buf)
+		}
+		s.putPending(c)
+	}
+
+	s.Execute(&spec, &resp)
+	if resp.Status != http.StatusOK {
+		t.Fatalf("post-panic status = %d: %s", resp.Status, resp.Body)
+	}
+	if want := append([]byte(`{"summary":`), librarySummary(t, &spec)...); !bytes.HasPrefix(resp.Body, want) {
+		t.Fatalf("post-panic summary diverges from library core.RunAll\n got: %.200s\nwant: %.200s", resp.Body, want)
+	}
+	if s.sessions[0][res.shape] == warm {
+		t.Error("worker kept the session a panicked run left torn")
+	}
+	if got := s.metrics.panics.Load(); got != 2 {
+		t.Errorf("panics = %d, want 2", got)
+	}
+	if acc, comp := s.metrics.Accepted(), s.metrics.Completed(); acc != comp {
+		t.Fatalf("accepted %d != completed %d", acc, comp)
+	}
+}
+
+// TestCachesBounded pins both interning caches under a client cycling
+// more distinct synthetic specs than either cap: the system cache and
+// every worker's session table stay within their caps, and every response
+// still matches the library result.
+func TestCachesBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	s := NewServer(Options{Workers: 2})
+	var resp Response
+	for seed := int64(0); seed < maxSystems+8; seed++ {
+		spec := RunSpec{Workload: WorkloadSpec{Name: "synthetic", Seed: seed, ECUs: 2, Tasks: 3}, DurationS: 0.01}
+		s.Execute(&spec, &resp)
+		if resp.Status != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, resp.Status, resp.Body)
+		}
+		if want := append([]byte(`{"summary":`), librarySummary(t, &spec)...); !bytes.HasPrefix(resp.Body, want) {
+			t.Fatalf("seed %d: summary diverges from library core.RunAll\n got: %.200s\nwant: %.200s", seed, resp.Body, want)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	systemCache.mu.Lock()
+	n := len(systemCache.m)
+	systemCache.mu.Unlock()
+	if n > maxSystems {
+		t.Errorf("system cache holds %d specs, cap %d", n, maxSystems)
+	}
+	for i, sessions := range s.sessions {
+		if len(sessions) > maxWorkerSessions {
+			t.Errorf("worker %d holds %d sessions, cap %d", i, len(sessions), maxWorkerSessions)
+		}
+	}
+}
+
 // TestExecuteWarmAllocs gates the steady-state per-request allocation
-// count of the full admission → batch → session → serialize pipeline, the
+// count of the full admission → worker → session → serialize pipeline, the
 // serve analogue of the hot-path alloc gates in bench_test.go.
 func TestExecuteWarmAllocs(t *testing.T) {
 	if testing.Short() {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,20 +19,12 @@ import (
 type Options struct {
 	// Workers is the number of session workers (default parallel.Workers(),
 	// i.e. GOMAXPROCS). Each worker owns warm core.Sessions keyed by
-	// workload shape and runs one batch at a time.
+	// workload shape and runs one admitted run at a time.
 	Workers int
-	// MaxBatch is the batch size that forces an immediate flush
-	// (default 16).
-	MaxBatch int
-	// MaxWait is the longest an open batch waits for co-batchable requests
-	// before flushing anyway (default 2ms). Under light load a fresh batch
-	// dispatches immediately when a worker is idle; MaxWait only prices
-	// coalescing when all workers are busy.
-	MaxWait time.Duration
-	// QueueDepth bounds admission: the hard cap on requests accepted but
-	// not yet picked up by the dispatcher (default 4×Workers×MaxBatch).
-	// Beyond it the server answers 429 + Retry-After — backpressure is
-	// explicit, memory is bounded.
+	// QueueDepth bounds admission: the hard cap on admitted runs that no
+	// worker has picked up yet (default 64×Workers). Beyond it the server
+	// answers 429 + Retry-After — backpressure is explicit, memory is
+	// bounded.
 	QueueDepth int
 }
 
@@ -40,17 +33,16 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = parallel.Workers()
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 16
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
-	}
 	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.Workers * o.MaxBatch
+		o.QueueDepth = 64 * o.Workers
 	}
 	return o
 }
+
+// maxWorkerSessions caps each worker's warm-session table. Past it the
+// worker drops an arbitrary session before building a new one, so a client
+// cycling synthetic specs cannot grow server memory without bound.
+const maxWorkerSessions = 32
 
 // nominalModel is the shared noise-free execution model. Hoisted so the
 // hot path assigns a prebuilt interface value instead of converting
@@ -65,9 +57,9 @@ type sweepParent struct {
 	done      chan struct{}
 }
 
-// pending is one admitted run riding through the batcher. It is pooled:
-// the handler that enqueued it waits on done, consumes buf, and returns it
-// to the pool. Workers never touch a pending after signalling it.
+// pending is one admitted run riding through the queue. It is pooled: the
+// handler that enqueued it waits on done, consumes buf, and returns it to
+// the pool. Workers never touch a pending after signalling it.
 type pending struct {
 	// resolved request (immutable after enqueue)
 	res        resolved
@@ -81,32 +73,26 @@ type pending struct {
 
 	// lifecycle
 	tEnqueue time.Time
-	tBatch   time.Time
+	tPickup  time.Time
 	done     chan struct{} // cap 1; unused when parent is set
 	parent   *sweepParent
 }
 
-// batch is a flush unit: same-shape pendings that run back-to-back on one
-// worker's warm session.
-type batch struct {
-	shape shapeKey
-	items []*pending
-}
-
-// Server is the batch runtime: a bounded admission queue feeding a
-// dispatcher that coalesces same-shape requests into batches, which
-// session-owning workers drain. It serves both the HTTP handlers
-// (server.go) and the in-process Execute path the benchmarks drive.
+// Server is the batch runtime: a bounded admission queue drained by
+// work-conserving session workers — each free worker takes the oldest
+// admitted run straight off the queue, so no run waits while a worker
+// idles and a sweep's children spread over every free worker. It serves
+// both the HTTP handlers (server.go) and the in-process Execute path the
+// benchmarks drive.
 type Server struct {
 	opts    Options
 	metrics Registry
 
-	// used counts admission reservations (queued requests not yet picked
-	// up by the dispatcher); it is CASed against QueueDepth so admit sends
-	// never block once a reservation is held.
+	// used counts admission reservations (admitted runs not yet picked up
+	// by a worker); it is CASed against QueueDepth so admit sends never
+	// block once a reservation is held.
 	used  atomic.Int64
 	admit chan *pending
-	work  chan *batch
 
 	// drainMu serializes admission against shutdown: enqueue holds the
 	// read side across the reservation + send, Shutdown takes the write
@@ -114,30 +100,30 @@ type Server struct {
 	drainMu  sync.RWMutex
 	draining bool
 
+	// sessions[i] is worker i's warm-session table, keyed by shape and
+	// touched only by that worker while it runs.
+	sessions []map[shapeKey]*core.Session
+
 	wg          sync.WaitGroup
 	pendingPool sync.Pool
-	batchPool   sync.Pool
 }
 
-// NewServer starts the batch runtime: one dispatcher plus opts.Workers
-// session workers. Stop it with Shutdown (drains) or Close.
+// NewServer starts the batch runtime: opts.Workers session workers. Stop
+// it with Shutdown (drains) or Close.
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:  opts,
-		admit: make(chan *pending, opts.QueueDepth),
-		work:  make(chan *batch),
+		opts:     opts,
+		admit:    make(chan *pending, opts.QueueDepth),
+		sessions: make([]map[shapeKey]*core.Session, opts.Workers),
 	}
 	s.pendingPool.New = func() any {
 		return &pending{done: make(chan struct{}, 1)}
 	}
-	s.batchPool.New = func() any {
-		return &batch{items: make([]*pending, 0, opts.MaxBatch)}
-	}
-	s.wg.Add(1 + opts.Workers)
-	go s.dispatch()
-	for i := 0; i < opts.Workers; i++ {
-		go s.worker()
+	s.wg.Add(opts.Workers)
+	for i := range s.sessions {
+		s.sessions[i] = make(map[shapeKey]*core.Session)
+		go s.worker(s.sessions[i])
 	}
 	return s
 }
@@ -202,7 +188,7 @@ var (
 )
 
 // enqueue admits one pending (reservation + queue send) or reports why it
-// cannot. On success the batcher owns p until it signals done.
+// cannot. On success the workers own p until one signals done.
 func (s *Server) enqueue(p *pending) error {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
@@ -244,143 +230,41 @@ func (s *Server) enqueueSweep(parent *sweepParent) error {
 	return nil
 }
 
-// dispatch is the batcher core: it pulls admitted pendings, groups them by
-// shape into open batches, and flushes a batch when it reaches MaxBatch,
-// when it has waited MaxWait, or — the idle fast path — immediately if a
-// worker is free the moment it opens. Open batches live in a slice (the
-// map is lookup-only) so flush order is deterministic arrival order.
-func (s *Server) dispatch() {
+// worker takes admitted runs off the queue, oldest first, the moment it is
+// free. It owns one warm core.Session per workload shape and one reusable
+// noise model, so a warm request runs with the session's zero-allocation
+// steady state and serializes into the pending's recycled buffer. A run
+// that panics leaves its session torn, so the worker drops it; the next
+// request of that shape rebuilds.
+func (s *Server) worker(sessions map[shapeKey]*core.Session) {
 	defer s.wg.Done()
-	defer close(s.work)
-
-	var open []*batch
-	byShape := make(map[shapeKey]*batch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerArmed := false
-	// opened tracks each open batch's birth for the MaxWait deadline,
-	// parallel to open.
-	var opened []time.Time
-
-	remove := func(i int) {
-		delete(byShape, open[i].shape)
-		copy(open[i:], open[i+1:])
-		copy(opened[i:], opened[i+1:])
-		open[len(open)-1] = nil
-		open = open[:len(open)-1]
-		opened = opened[:len(opened)-1]
-	}
-
-	flushDue := func(now time.Time) {
-		for i := 0; i < len(open); {
-			if now.Sub(opened[i]) < s.opts.MaxWait {
-				i++
-				continue
-			}
-			bt := open[i]
-			remove(i)
-			s.work <- bt
-		}
-		if len(open) > 0 && !timerArmed {
-			d := s.opts.MaxWait - now.Sub(opened[0])
-			if d < 0 {
-				d = 0
-			}
-			timer.Reset(d)
-			timerArmed = true
-		}
-	}
-
-	for {
-		select {
-		case p, ok := <-s.admit:
-			if !ok {
-				// Draining: flush every open batch in arrival order, then
-				// stop. Workers finish the remaining work before close(work)
-				// releases them.
-				if timerArmed && !timer.Stop() {
-					<-timer.C
-				}
-				for len(open) > 0 {
-					bt := open[0]
-					remove(0)
-					s.work <- bt
-				}
-				return
-			}
-			s.used.Add(-1)
-			now := time.Now()
-			p.timing.QueueWaitNs = now.Sub(p.tEnqueue).Nanoseconds()
-			p.tBatch = now
-			bt := byShape[p.res.shape]
-			if bt == nil {
-				bt = s.batchPool.Get().(*batch)
-				bt.shape = p.res.shape
-				bt.items = append(bt.items[:0], p)
-				// Idle-worker fast path: a free worker takes the fresh
-				// batch immediately — no MaxWait tax when there is no
-				// contention to amortize.
-				select {
-				case s.work <- bt:
-					continue
-				default:
-				}
-				byShape[p.res.shape] = bt
-				open = append(open, bt)
-				opened = append(opened, now)
-				if !timerArmed {
-					timer.Reset(s.opts.MaxWait)
-					timerArmed = true
-				}
-				continue
-			}
-			bt.items = append(bt.items, p)
-			if len(bt.items) >= s.opts.MaxBatch {
-				for i := range open {
-					if open[i] == bt {
-						remove(i)
-						break
-					}
-				}
-				s.work <- bt
-			}
-		case now := <-timer.C:
-			timerArmed = false
-			flushDue(now)
-		}
-	}
-}
-
-// worker drains batches: it owns one warm core.Session per workload shape
-// and one reusable noise model, so a warm request runs with the session's
-// zero-allocation steady state and serializes into the pending's recycled
-// buffer.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	sessions := make(map[shapeKey]*core.Session)
 	noise := exectime.NewNoise(exectime.Nominal{}, 0, 0)
-	for bt := range s.work {
-		// One session lookup per batch: every item shares the batch's shape,
-		// so the whole batch runs back-to-back on one warm session.
-		sess := sessions[bt.shape]
+	for p := range s.admit {
+		s.used.Add(-1)
+		p.tPickup = time.Now()
+		p.timing.QueueWaitNs = p.tPickup.Sub(p.tEnqueue).Nanoseconds()
+		shape := p.res.shape // p belongs to its handler once serveOne signals
+		sess := sessions[shape]
 		if sess == nil {
+			if len(sessions) >= maxWorkerSessions {
+				for k := range sessions {
+					delete(sessions, k)
+					break
+				}
+			}
 			sess = core.NewSession()
-			sessions[bt.shape] = sess
+			sessions[shape] = sess
 		}
-		for i, p := range bt.items {
-			bt.items[i] = nil
-			s.serveOne(sess, noise, p)
+		if !s.serveOne(sess, noise, p) {
+			delete(sessions, shape)
 		}
-		bt.items = bt.items[:0]
-		s.batchPool.Put(bt)
 	}
 }
 
 // serveOne runs one pending to completion: simulate, serialize, record
 // metrics, signal the waiter. The pending must not be touched afterwards —
-// signalling transfers ownership back to the handler.
+// signalling transfers ownership back to the handler. It reports false
+// when the run panicked, in which case sess is torn and must be dropped.
 //
 // serveOne is deliberately NOT an effects //lint:certify root: the session
 // warm path it rides is certified at its own roots (core.runWarm /
@@ -390,12 +274,39 @@ func (s *Server) worker() {
 // per-function //lint:noalloc markers on its serialize/metrics leaves
 // (escape-replay verified), the //lint:certify root on Registry.observe,
 // and the steady-state allocation gate in serve_test.go.
-func (s *Server) serveOne(sess *core.Session, noise *exectime.Noise, p *pending) {
-	if p.res.gate != nil {
-		<-p.res.gate
+func (s *Server) serveOne(sess *core.Session, noise *exectime.Noise, p *pending) bool {
+	ok := s.runGuarded(sess, noise, p)
+	s.metrics.observe(p.timing)
+	s.metrics.completed.Add(1)
+	if p.parent != nil {
+		if p.parent.remaining.Add(-1) == 0 {
+			p.parent.done <- struct{}{}
+		}
+		return ok
+	}
+	p.done <- struct{}{}
+	return ok
+}
+
+// runGuarded is serveOne's simulate + serialize step behind a panic
+// barrier: a panic anywhere in it (the test hook, the run, the encoders)
+// answers this one request 500, is counted, and reports false instead of
+// taking the process down.
+func (s *Server) runGuarded(sess *core.Session, noise *exectime.Noise, p *pending) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.status = 500
+			p.errMsg = fmt.Sprint("run panicked: ", r)
+			p.buf = appendError(p.buf[:0], p.errMsg, 0)
+			s.metrics.panics.Add(1)
+			ok = false
+		}
+	}()
+	if p.res.hook != nil {
+		p.res.hook()
 	}
 	start := time.Now()
-	p.timing.BatchWaitNs = start.Sub(p.tBatch).Nanoseconds()
+	p.timing.BatchWaitNs = start.Sub(p.tPickup).Nanoseconds()
 
 	exec := nominalModel
 	if p.res.noiseOn {
@@ -416,36 +327,27 @@ func (s *Server) serveOne(sess *core.Session, noise *exectime.Noise, p *pending)
 		p.errMsg = err.Error()
 		p.buf = appendError(p.buf[:0], p.errMsg, 0)
 		s.metrics.runErrors.Add(1)
-	} else {
-		p.status = 200
-		p.buf = p.buf[:0]
-		if p.res.colfmt {
-			if p.standalone {
-				p.buf = colfmt.AppendMagic(p.buf)
-			}
-			p.buf = colfmt.AppendRun(p.buf, res.Trace)
-			p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
-		} else {
-			p.buf = append(p.buf, `{"summary":`...)
-			p.buf = appendSummary(p.buf, p.res.mode, p.res.durationS, res)
-			// SerializeNs covers the summary encode; the timing block that
-			// reports it is appended after the clock is read.
-			p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
-			p.buf = append(p.buf, `,"timing_ns":`...)
-			p.buf = appendTiming(p.buf, p.timing)
-			p.buf = append(p.buf, '}')
-		}
+		return true
 	}
-
-	s.metrics.observe(p.timing)
-	s.metrics.completed.Add(1)
-	if p.parent != nil {
-		if p.parent.remaining.Add(-1) == 0 {
-			p.parent.done <- struct{}{}
+	p.status = 200
+	p.buf = p.buf[:0]
+	if p.res.colfmt {
+		if p.standalone {
+			p.buf = colfmt.AppendMagic(p.buf)
 		}
-		return
+		p.buf = colfmt.AppendRun(p.buf, res.Trace)
+		p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
+		return true
 	}
-	p.done <- struct{}{}
+	p.buf = append(p.buf, `{"summary":`...)
+	p.buf = appendSummary(p.buf, p.res.mode, p.res.durationS, res)
+	// SerializeNs covers the summary encode; the timing block that reports
+	// it is appended after the clock is read.
+	p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
+	p.buf = append(p.buf, `,"timing_ns":`...)
+	p.buf = appendTiming(p.buf, p.timing)
+	p.buf = append(p.buf, '}')
+	return true
 }
 
 // Shutdown stops admission (new requests get 503) and drains: every
@@ -483,7 +385,7 @@ type Response struct {
 	Timing Timing
 }
 
-// Execute runs one spec through the full admission + batch + session
+// Execute runs one spec through the full admission + worker + session
 // pipeline without HTTP framing: the alloc-gate tests and the serve
 // benchmark drive this to measure the runtime itself. resp is reused —
 // Body keeps its backing array across calls.

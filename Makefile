@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet bench profile perfbench-smoke ci
+.PHONY: all build test race lint fmt vet bench profile profile-layers perfbench-smoke ci
 
 all: build
 
@@ -71,6 +71,37 @@ profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkControllerOverhead$$' -benchtime 3s \
 		-cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "wrote cpu.pprof and mem.pprof — inspect with: $(GO) tool pprof {cpu,mem}.pprof"
+
+# profile-layers CPU-profiles the warm fork path — BenchmarkForkFanout at
+# fan-out 8: the Figure 8 testbed prefix to 300 s, then 8 forks resumed on
+# warm sessions — and prints the flat CPU share folded by package, so a
+# hot-path change shows which layer it moved: simtime (event engine), sched
+# (RMS substrate), exectime, eucon (inner MPC), linalg (its solver),
+# precision (outer tier), trace (recording), core, runtime and the rest.
+# The profile and test binary land in $(PROFILE_DIR) (gitignored); inspect
+# them further with `go tool pprof $(PROFILE_DIR)/bench.test
+# $(PROFILE_DIR)/cpu.pprof`.
+PROFILE_DIR ?= .profile
+profile-layers:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkForkFanout$$/^fanout=8$$' -benchtime 20x \
+		-cpuprofile $(PROFILE_DIR)/cpu.pprof -o $(PROFILE_DIR)/bench.test .
+	@$(GO) tool pprof -top -unit=ms -nodecount=1000000 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.pprof 2>/dev/null | awk '\
+	/^ *[0-9.]+ms +[0-9.]+%/ { \
+		ms=$$1; sub(/ms$$/, "", ms); \
+		name=$$6; for (i=7; i<=NF; i++) name=name " " $$i; \
+		pkg=name; sub(/ \(inline\)$$/, "", pkg); sub(/\[.*$$/, "", pkg); \
+		slash=match(pkg, /\/[^\/]*$$/); \
+		head=(slash ? substr(pkg, 1, slash) : ""); rest=(slash ? substr(pkg, slash+1) : pkg); \
+		sub(/\..*$$/, "", rest); pkg=head rest; \
+		sub(/^github\.com\/autoe2e\/autoe2e\/(internal\/)?/, "", pkg); \
+		flat[pkg]+=ms; total+=ms; \
+	} \
+	END { \
+		if (!total) { print "no samples parsed" > "/dev/stderr"; exit 1 } \
+		printf "%-28s %10s %7s\n", "package", "flat_ms", "share"; \
+		for (p in flat) printf "%-28s %10.0f %6.1f%%\n", p, flat[p], 100*flat[p]/total | "sort -k2,2nr"; \
+	}'
 
 # perfbench-smoke builds the repository benchmark (_perfbench, a nested
 # module that `go build ./...` and `go test ./...` skip because of its

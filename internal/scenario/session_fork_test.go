@@ -5,6 +5,7 @@ import (
 
 	"github.com/autoe2e/autoe2e/internal/bus"
 	"github.com/autoe2e/autoe2e/internal/core"
+	"github.com/autoe2e/autoe2e/internal/exectime"
 	"github.com/autoe2e/autoe2e/internal/sched"
 	"github.com/autoe2e/autoe2e/internal/simtime"
 	"github.com/autoe2e/autoe2e/internal/taskmodel"
@@ -306,4 +307,83 @@ func TestRunTreeGolden(t *testing.T) {
 		requireRunsIdentical(t, "fork (serial campaign)", fresh, observe(t, serial[fi], nil))
 		requireRunsIdentical(t, "fork (parallel campaign)", fresh, observe(t, parallelRes[fi], nil))
 	}
+}
+
+// singleStageOverload is an open-loop workload of fixed-rate tasks on one
+// shared ECU: "fast" (50 Hz) preempts "slow" (40 Hz), whose demand never
+// fits the time left, so every slow instance is still live at its
+// deadline — the instant of slow's next release, which resolves it. A
+// two-stage chain keeps a deadline event of its own alongside.
+func singleStageOverload() core.RunConfig {
+	sys := &taskmodel.System{
+		NumECUs: 2,
+		Tasks: []*taskmodel.Task{
+			{
+				Name:     "fast",
+				Subtasks: []taskmodel.Subtask{{Name: "f", ECU: 0, NominalExec: simtime.FromMillis(12), MinRatio: 1, Weight: 1}},
+				RateMin:  50, RateMax: 50,
+			},
+			{
+				Name:     "slow",
+				Subtasks: []taskmodel.Subtask{{Name: "s", ECU: 0, NominalExec: simtime.FromMillis(15), MinRatio: 1, Weight: 1}},
+				RateMin:  20, RateMax: 60, InitRate: 40,
+			},
+			{
+				Name: "chain",
+				Subtasks: []taskmodel.Subtask{
+					{Name: "a", ECU: 1, NominalExec: simtime.FromMillis(20), MinRatio: 1, Weight: 1},
+					{Name: "b", ECU: 0, NominalExec: simtime.FromMillis(2), MinRatio: 1, Weight: 1},
+				},
+				RateMin: 10, RateMax: 10,
+			},
+		},
+	}
+	if err := sys.Validate(); err != nil {
+		panic(err) // the literal above is a fixed, valid system
+	}
+	return core.RunConfig{
+		System:     sys,
+		Exec:       exectime.NewNoise(exectime.Nominal{}, ExecNoise, 3),
+		Middleware: core.Config{Mode: core.ModeOpen, InnerPeriod: simtime.Second},
+		Duration:   20 * simtime.Second,
+	}
+}
+
+// TestForkAtSingleStageRelease forks exactly at a release instant of two
+// single-stage tasks whose previous instances are due there, one of them
+// still unfinished: the snapshot holds the due chain and its pending
+// release, and the continuation must abort it before the new instance
+// starts, as the fresh run does. The fork must match the fresh replay byte
+// for byte, restored into the capturing session and onto a session warmed
+// on a different shape.
+func TestForkAtSingleStageRelease(t *testing.T) {
+	const slow = 1
+	fc := forkCase{
+		name:   "SingleStageRelease",
+		mk:     singleStageOverload,
+		forkAt: simtime.At(10.5), // 525 fast and 420 slow periods
+		mutate: func(st *taskmodel.State) { st.SetRate(slow, 30) },
+	}
+	fresh := freshWithFork(t, fc)
+	resolved := false
+	for _, ev := range fresh.chains {
+		if ev.Task == slow && ev.Missed && ev.Deadline == fc.forkAt {
+			resolved = true
+		}
+	}
+	if !resolved {
+		t.Fatalf("no slow instance was aborted at the fork instant %v: the fork does not cut through a due chain", fc.forkAt)
+	}
+
+	s := core.NewSession()
+	cp, chains := prefixAndSnapshot(t, s, fc)
+	prefixLen := len(*chains)
+	requireRunsIdentical(t, "fork into capturing session", fresh, resumeObserved(t, s, cp, fc, chains))
+
+	warmed := core.NewSession()
+	if _, err := warmed.Run(SimAcceleration(core.ModeEUCON, 1)); err != nil {
+		t.Fatalf("warming run: %v", err)
+	}
+	rewound := append([]sched.ChainEvent(nil), (*chains)[:prefixLen]...)
+	requireRunsIdentical(t, "fork onto a different session", fresh, resumeObserved(t, warmed, cp, fc, &rewound))
 }

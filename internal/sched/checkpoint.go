@@ -110,16 +110,17 @@ type ecuCheckpoint struct {
 }
 
 // SchedulerCheckpoint is a deep copy of a Scheduler's complete execution
-// state: per-task counters, release-guard state, the full chain and job
-// pools with their free lists, and every ECU runner. Configuration (Exec,
-// LinkDelay, OnChain) is deliberately not captured — models are functions
-// that cannot be serialized and are re-supplied by Session.Resume — and
-// structural fields (stageBase, taskArgs) are rebuilt from the system
-// shape. A checkpoint holds no pointers into the captured scheduler, so it
+// state: per-task counters, release-guard state, the due single-stage
+// chains (as pool indices), the full chain and job pools with their free
+// lists, and every ECU runner. Configuration (Exec, LinkDelay, OnChain) is
+// deliberately not captured — models are functions that cannot be
+// serialized and are re-supplied by Session.Resume — and structural fields
+// (stageBase, taskArgs) are rebuilt from the system shape. A checkpoint holds no pointers into the captured scheduler, so it
 // may be shared read-only across worker sessions.
 type SchedulerCheckpoint struct {
 	counters  []TaskCounter
 	lastRel   []simtime.Time
+	due       []int32
 	chains    []chainCheckpoint
 	jobs      []jobCheckpoint
 	freeChain int32
@@ -149,6 +150,10 @@ func jobIdx(j *job) int32 {
 func (cp *SchedulerCheckpoint) CaptureFrom(s *Scheduler) {
 	cp.counters = append(cp.counters[:0], s.counters...)
 	cp.lastRel = append(cp.lastRel[:0], s.lastRel...)
+	cp.due = cp.due[:0]
+	for _, c := range s.due {
+		cp.due = append(cp.due, chainIdx(c))
+	}
 	cp.chains = cp.chains[:0]
 	for _, c := range s.allChains {
 		cp.chains = append(cp.chains, chainCheckpoint{
@@ -252,6 +257,9 @@ func (cp *SchedulerCheckpoint) RestoreTo(s *Scheduler) {
 		c.pendingEv = cc.pendingEv
 		c.pendingStage = cc.pendingStage
 		c.nextFree = chainAt(cc.nextFree)
+	}
+	for i, ci := range cp.due {
+		s.due[i] = chainAt(ci)
 	}
 	for i := range cp.jobs {
 		jc, j := &cp.jobs[i], s.allJobs[i]

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"container/heap"
-
 	"github.com/autoe2e/autoe2e/internal/simtime"
 	"github.com/autoe2e/autoe2e/internal/units"
 )
@@ -29,7 +27,7 @@ type ecuRunner struct {
 
 // enqueue admits a job and re-evaluates dispatch.
 func (e *ecuRunner) enqueue(j *job, now simtime.Time) {
-	heap.Push(&e.ready, j)
+	e.ready.push(j)
 	e.dispatch(now)
 }
 
@@ -44,7 +42,7 @@ func (e *ecuRunner) abort(j *job, now simtime.Time) {
 		return
 	}
 	if j.index >= 0 {
-		heap.Remove(&e.ready, j.index)
+		e.ready.remove(j.index)
 	}
 }
 
@@ -66,12 +64,12 @@ func (e *ecuRunner) dispatch(now simtime.Time) {
 			e.dispatch(now)
 			return
 		}
-		heap.Push(&e.ready, preempted)
+		e.ready.push(preempted)
 	}
 	if len(e.ready) == 0 {
 		return
 	}
-	next := heap.Pop(&e.ready).(*job)
+	next := e.ready.pop()
 	e.running = next
 	e.startedAt = now
 	// Closure-free completion event: binding the method value e.complete
@@ -155,7 +153,6 @@ func (j *job) higherPriorityThan(other *job) bool {
 	return j.seq < other.seq
 }
 
-// readyHeap orders jobs by higherPriorityThan.
 // reset clears all execution state for a new run: the ready queue, the
 // running job, and the utilization-window accounting, which restarts at
 // the given instant exactly as construction does.
@@ -171,28 +168,92 @@ func (e *ecuRunner) reset(now simtime.Time) {
 	e.lastSample = now
 }
 
+// readyHeap is a binary min-heap of ready jobs ordered by
+// higherPriorityThan. Each queued job records its position in index (-1
+// once it leaves), which is what lets abort remove it in O(log n). The
+// order is total, so the pop sequence does not depend on the heap layout;
+// a checkpoint copies the array positionally and the heap invariant comes
+// with it.
 type readyHeap []*job
 
-func (h readyHeap) Len() int           { return len(h) }
-func (h readyHeap) Less(i, j int) bool { return h[i].higherPriorityThan(h[j]) }
-func (h readyHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *readyHeap) Push(x any) {
-	j := x.(*job)
-	j.index = len(*h)
+// push adds j to the heap.
+func (h *readyHeap) push(j *job) {
 	*h = append(*h, j)
+	h.up(len(*h)-1, j)
 }
 
-func (h *readyHeap) Pop() any {
+// pop removes and returns the highest-priority job. The heap must be
+// non-empty.
+func (h *readyHeap) pop() *job {
 	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
+	top := old[0]
+	last := len(old) - 1
+	x := old[last]
+	old[last] = nil
+	*h = old[:last]
+	if last > 0 {
+		h.down(0, x)
+	}
+	top.index = -1
+	return top
+}
+
+// remove takes the job at position i out of the heap.
+func (h *readyHeap) remove(i int) {
+	old := *h
+	j := old[i]
+	last := len(old) - 1
+	x := old[last]
+	old[last] = nil
+	*h = old[:last]
 	j.index = -1
-	*h = old[:n-1]
-	return j
+	if i == last {
+		return
+	}
+	if i > 0 && x.higherPriorityThan(old[(i-1)/2]) {
+		h.up(i, x)
+	} else {
+		h.down(i, x)
+	}
+}
+
+// up places j into the hole at position i, moving lower-priority
+// ancestors down.
+func (h readyHeap) up(i int, j *job) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := h[parent]
+		if !j.higherPriorityThan(p) {
+			break
+		}
+		h[i] = p
+		p.index = i
+		i = parent
+	}
+	h[i] = j
+	j.index = i
+}
+
+// down places j into the hole at position i, moving higher-priority
+// children up.
+func (h readyHeap) down(i int, j *job) {
+	n := len(h)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		c := h[child]
+		if right := child + 1; right < n && h[right].higherPriorityThan(c) {
+			child, c = right, h[right]
+		}
+		if !c.higherPriorityThan(j) {
+			break
+		}
+		h[i] = c
+		c.index = i
+		i = child
+	}
+	h[i] = j
+	j.index = i
 }

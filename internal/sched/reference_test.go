@@ -10,20 +10,29 @@ import (
 	"github.com/autoe2e/autoe2e/internal/units"
 )
 
-// fuzzSystem builds a randomized 2-ECU, 3-task, 2-stage system from raw
-// fuzz bytes, mirroring the accounting property test's construction.
-func fuzzSystem(execsRaw, ratesRaw [3]uint8) *taskmodel.System {
-	tasks := make([]*taskmodel.Task, 0, 3)
+// fuzzSystem builds a randomized 2-ECU system from raw fuzz bytes: three
+// tasks of 1, 2 or 3 stages alternating between the ECUs, each with a rate
+// range up to three times its floor so mid-run rate changes stay inside it.
+// With overload set, a fourth single-stage task demands more than its
+// 20 ms period on ECU 0: every instance is aborted at its deadline, and
+// while the other tasks run below 50 Hz it starves every stage they place
+// on ECU 0.
+func fuzzSystem(shapesRaw, execsRaw, ratesRaw [3]uint8, overload bool) *taskmodel.System {
+	tasks := make([]*taskmodel.Task, 0, 4)
 	for i := 0; i < 3; i++ {
 		execMs := 1 + float64(execsRaw[i]%40)
 		rate := units.Rate(5 + float64(ratesRaw[i]%45))
+		subs := make([]taskmodel.Subtask, 1+int(shapesRaw[i]%3))
+		for k := range subs {
+			subs[k] = taskmodel.Subtask{Name: "s", ECU: (i + k) % 2, NominalExec: simtime.FromMillis(execMs / float64(k+1)), MinRatio: 1, Weight: 1}
+		}
+		tasks = append(tasks, &taskmodel.Task{Name: "t", Subtasks: subs, RateMin: rate, RateMax: 3 * rate})
+	}
+	if overload {
 		tasks = append(tasks, &taskmodel.Task{
-			Name: "t",
-			Subtasks: []taskmodel.Subtask{
-				{Name: "a", ECU: i % 2, NominalExec: simtime.FromMillis(execMs), MinRatio: 1, Weight: 1},
-				{Name: "b", ECU: (i + 1) % 2, NominalExec: simtime.FromMillis(execMs / 2), MinRatio: 1, Weight: 1},
-			},
-			RateMin: rate, RateMax: rate,
+			Name:     "hog",
+			Subtasks: []taskmodel.Subtask{{Name: "h", ECU: 0, NominalExec: simtime.FromMillis(30), MinRatio: 1, Weight: 1}},
+			RateMin:  50, RateMax: 50,
 		})
 	}
 	sys := &taskmodel.System{NumECUs: 2, UtilBound: []units.Util{1, 1}, Tasks: tasks}
@@ -33,11 +42,31 @@ func fuzzSystem(execsRaw, ratesRaw [3]uint8) *taskmodel.System {
 	return sys
 }
 
+// rateSteps are the instants at which runDriver moves every task's rate,
+// chosen off any release grid: up to the ceiling, down part way, then back
+// to the floor. Lowering a rate engages the first-stage release guard.
+var rateSteps = []struct {
+	at     simtime.Time
+	factor units.Rate // of RateMin
+}{
+	{simtime.At(0.7731), 3},
+	{simtime.At(1.6187), 1.4},
+	{simtime.At(2.3003), 1},
+}
+
 // runDriver drives one scheduler over the workload on its own engine,
-// sampling utilizations every 200ms, and returns the observable trace:
-// utilization samples and final counters (chain events are captured by the
-// caller's OnChain).
+// moving rates at rateSteps and sampling utilizations every 200ms, and
+// returns the observable trace: utilization samples and final counters
+// (chain events are captured by the caller's OnChain).
 func runDriver(d Driver, eng *simtime.Engine) (utils []units.Util, counters []TaskCounter) {
+	st := d.State()
+	for _, step := range rateSteps {
+		eng.Schedule(step.at, func(simtime.Time) {
+			for ti, task := range st.System().Tasks {
+				st.SetRate(taskmodel.TaskID(ti), task.RateMin*step.factor)
+			}
+		})
+	}
 	eng.Every(200*simtime.Millisecond, func(simtime.Time) {
 		utils = append(utils, d.SampleUtilizations()...)
 	})
@@ -48,11 +77,14 @@ func runDriver(d Driver, eng *simtime.Engine) (utils []units.Util, counters []Ta
 
 // TestSchedulerMatchesReferenceFuzz is the scheduler-level golden gate:
 // the pooled Scheduler and the retained naive Reference, run over
-// identical randomized workloads (noisy execution times, link delays, both
-// sync policies), must produce identical chain-event streams, utilization
+// identical randomized workloads (1- to 3-stage chains, noisy execution
+// times, link delays, both sync policies, mid-run rate changes, overloaded
+// draws), must produce identical chain-event streams, utilization
 // samples, and counters. Chains and jobs are recycled thousands of times
 // per run, so any pooling defect — stale field, premature free, aliased
-// event — diverges the traces.
+// event, a single-stage deadline resolved out of order — diverges the
+// traces. The test also requires that both single-stage and multi-stage
+// instances were aborted in some draw, so the abort paths were compared.
 func TestSchedulerMatchesReferenceFuzz(t *testing.T) {
 	link := func(from, to int) simtime.Duration {
 		if from != to {
@@ -60,8 +92,9 @@ func TestSchedulerMatchesReferenceFuzz(t *testing.T) {
 		}
 		return 0
 	}
-	if err := quick.Check(func(seed int64, execsRaw, ratesRaw [3]uint8, greedy, delay bool) bool {
-		sys := fuzzSystem(execsRaw, ratesRaw)
+	var singleMissDraws, multiMissDraws int
+	if err := quick.Check(func(seed int64, shapesRaw, execsRaw, ratesRaw [3]uint8, greedy, delay, overload bool) bool {
+		sys := fuzzSystem(shapesRaw, execsRaw, ratesRaw, overload)
 		if sys == nil {
 			return true // invalid draw; nothing to compare
 		}
@@ -106,15 +139,32 @@ func TestSchedulerMatchesReferenceFuzz(t *testing.T) {
 				return false
 			}
 		}
+		var singleMiss, multiMiss bool
 		for i := range pooledCounters {
 			if pooledCounters[i] != refCounters[i] {
 				t.Logf("seed %d: task %d counters diverged: pooled %+v, reference %+v", seed, i, pooledCounters[i], refCounters[i])
 				return false
 			}
+			if pooledCounters[i].Missed > 0 {
+				if len(sys.Tasks[i].Subtasks) == 1 {
+					singleMiss = true
+				} else {
+					multiMiss = true
+				}
+			}
+		}
+		if singleMiss {
+			singleMissDraws++
+		}
+		if multiMiss {
+			multiMissDraws++
 		}
 		return true
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+	if singleMissDraws == 0 || multiMissDraws == 0 {
+		t.Errorf("draws with single-stage misses: %d, with multi-stage misses: %d; want both > 0 so every abort path is compared", singleMissDraws, multiMissDraws)
 	}
 }
 

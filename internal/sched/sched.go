@@ -6,15 +6,19 @@
 // obsolete and has to be discarded", Section III), windowed CPU-utilization
 // monitoring, and per-task deadline-miss accounting.
 //
-// The simulation is event-driven on a simtime.Engine: events are job
-// releases, job completions, chain deadlines, and periodic first-subtask
-// releases. Identical seeds produce identical traces.
+// The simulation is event-driven on a simtime.Engine: events are periodic
+// first-subtask releases, delayed successor releases, job completions, and
+// the end-to-end deadlines of multi-stage chains. A single-stage chain's
+// deadline falls on the instant of its task's next release, so that
+// release resolves it instead of a deadline event of its own. Identical
+// seeds produce identical traces.
 //
 // Scheduler is the production implementation: chains and jobs are recycled
 // through intrusive free lists owned by the Scheduler, release-guard state
 // lives in a dense per-subtask slice, and every event is scheduled through
 // the engine's closure-free ScheduleCall path, so a steady-state simulation
-// performs zero heap allocations per release→admit→finish→deadline cycle.
+// performs zero heap allocations per chain instance, from its release
+// through every admission and completion to its deadline.
 // Reference retains the naive allocating implementation; the equivalence
 // tests require byte-identical traces between the two.
 package sched
@@ -153,7 +157,12 @@ type Scheduler struct {
 	// lastRel is the release-guard state: the previous release instant of
 	// each subtask, or -1 before its first release. Dense replacement for
 	// the map the Reference keeps.
-	lastRel  []simtime.Time
+	lastRel []simtime.Time
+	// due holds, per single-stage task, the live instance whose deadline
+	// is the task's next release instant, or nil. The next release aborts
+	// it before starting a new instance (see releaseFirst); completion
+	// clears it.
+	due      []*chain
 	counters []TaskCounter
 	// taskArgs pre-binds the periodic first-release callback argument for
 	// each task, so releases schedule no closures.
@@ -188,6 +197,7 @@ func New(eng *simtime.Engine, state *taskmodel.State, cfg Config) *Scheduler {
 		sys:      sys,
 		state:    state,
 		cfg:      cfg,
+		due:      make([]*chain, len(sys.Tasks)),
 		counters: make([]TaskCounter, len(sys.Tasks)),
 	}
 	s.stageBase = make([]int, len(sys.Tasks))
@@ -246,6 +256,9 @@ func (s *Scheduler) Reset(cfg Config) {
 	}
 	for i := range s.lastRel {
 		s.lastRel[i] = -1
+	}
+	for i := range s.due {
+		s.due[i] = nil
 	}
 	s.freeChain = nil
 	for _, c := range s.allChains {
@@ -321,7 +334,8 @@ func (s *Scheduler) SampleUtilizationsInto(dst []units.Util) []units.Util {
 // them never allocates. The argument is the pre-bound per-task taskArg for
 // periodic releases and the *chain itself for chain-lifecycle events.
 
-// firstReleaseEvent fires a task's periodic release.
+// firstReleaseEvent fires a task's periodic release, first resolving the
+// previous single-stage instance whose deadline is this instant.
 //
 //lint:certify noalloc,nopanic,deterministic periodic release trampoline: the full release→admit→dispatch cycle recycles pooled objects
 func firstReleaseEvent(now simtime.Time, arg any) {
@@ -375,8 +389,9 @@ func (s *Scheduler) getChain() *chain {
 }
 
 // putChain recycles a resolved chain. The chain must have no outstanding
-// engine events or live job: completion cancels the deadline event, and
-// the deadline path cancels any pending delayed release, before freeing.
+// engine events, due entry or live job: completion cancels the deadline
+// event or clears the due entry, and the deadline path cancels any pending
+// delayed release, before freeing.
 func (s *Scheduler) putChain(c *chain) {
 	c.job = nil
 	c.nextFree = s.freeChain
@@ -408,6 +423,13 @@ func (s *Scheduler) putJob(j *job) {
 // periodic release. The period is read from the current rate, so rate
 // changes by the inner controller take effect at the next release.
 func (s *Scheduler) releaseFirst(ti taskmodel.TaskID, now simtime.Time) {
+	if c := s.due[ti]; c != nil {
+		// The previous single-stage instance is still live and its
+		// deadline is now: abort it before the new instance starts, as
+		// its own deadline event would have (see below).
+		s.due[ti] = nil
+		s.chainDeadline(c)
+	}
 	period := s.state.Period(ti)
 	n := len(s.sys.Tasks[ti].Subtasks)
 	c := s.getChain() //lint:allow hotpathalloc pool refill when empty; steady state recycles via putChain
@@ -422,10 +444,19 @@ func (s *Scheduler) releaseFirst(ti taskmodel.TaskID, now simtime.Time) {
 	c.pendingEv = 0
 	c.pendingStage = 0
 	s.counters[ti].Released++
-	// The deadline event aborts the chain if it has not completed. It is
-	// scheduled before the next release so that, at equal timestamps, the
-	// previous instance resolves before a new one starts.
-	c.deadlineEv = s.eng.ScheduleCall(c.deadline, chainDeadlineEvent, c)
+	// The deadline aborts the chain if it has not completed, and must
+	// resolve before the next instance starts. A multi-stage chain gets a
+	// deadline event, scheduled just ahead of the next release. A
+	// single-stage chain's deadline is that release's instant, and the two
+	// events would hold adjacent sequence numbers, so nothing could run
+	// between them: the next release resolves the chain through due
+	// instead, in the same order, one event cheaper.
+	if n == 1 {
+		c.deadlineEv = 0
+		s.due[ti] = c
+	} else {
+		c.deadlineEv = s.eng.ScheduleCall(c.deadline, chainDeadlineEvent, c)
+	}
 	s.eng.ScheduleCall(now.Add(period), firstReleaseEvent, &s.taskArgs[ti])
 	s.releaseStage(c, 0, now)
 }
@@ -505,12 +536,17 @@ func (s *Scheduler) jobFinished(j *job, now simtime.Time) {
 		}
 		return
 	}
-	// Last subtask done: the instance met its end-to-end deadline. Cancel
-	// the pending deadline event — its argument is this chain, which is
-	// about to be recycled, and the generation-checked cancel guarantees
-	// the slot's next occupant is unaffected.
+	// Last subtask done: the instance met its end-to-end deadline. Drop
+	// whatever would abort it — the due entry of a single-stage chain, or
+	// the pending deadline event, whose argument is this chain, which is
+	// about to be recycled; the generation-checked cancel guarantees the
+	// slot's next occupant is unaffected.
 	c.dead = true
-	s.eng.Cancel(c.deadlineEv)
+	if s.due[c.task] == c {
+		s.due[c.task] = nil
+	} else {
+		s.eng.Cancel(c.deadlineEv)
+	}
 	s.counters[c.task].Completed++
 	if s.cfg.OnChain != nil {
 		//lint:hookpoint chain observers are application callbacks (actuation, logging) outside the certified substrate
@@ -569,7 +605,8 @@ type chain struct {
 	job      *job
 	dead     bool
 	// deadlineEv is the pending end-to-end deadline event, cancelled when
-	// the chain completes.
+	// the chain completes. It is 0 for a single-stage chain, which the
+	// Scheduler's due entry resolves instead.
 	deadlineEv simtime.EventID
 	// pendingEv is the in-flight delayed release (release guard or link
 	// delay), or 0. pendingStage is the stage it will admit. At most one

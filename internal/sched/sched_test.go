@@ -440,3 +440,48 @@ func TestAccountingConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSingleStageQueuesNoDeadlineEvents pins the folded deadline: a
+// single-stage chain's deadline is its task's next release instant, which
+// resolves it, so a system of single-stage tasks never queues a deadline
+// event. At every step the queue holds at most one release per task, one
+// completion per ECU and one sampler tick — even while an overloaded task
+// is aborted at every deadline.
+func TestSingleStageQueuesNoDeadlineEvents(t *testing.T) {
+	sys := mustSystem(t, &taskmodel.System{
+		NumECUs:   2,
+		UtilBound: []units.Util{1, 1},
+		Tasks: []*taskmodel.Task{
+			{
+				Name:     "fast",
+				Subtasks: []taskmodel.Subtask{{Name: "f", ECU: 0, NominalExec: simtime.FromMillis(4), MinRatio: 1, Weight: 1}},
+				RateMin:  50, RateMax: 50,
+			},
+			{
+				// 30ms of demand every 25ms behind "fast": never finishes.
+				Name:     "overload",
+				Subtasks: []taskmodel.Subtask{{Name: "o", ECU: 0, NominalExec: simtime.FromMillis(30), MinRatio: 1, Weight: 1}},
+				RateMin:  40, RateMax: 40,
+			},
+			{
+				Name:     "other",
+				Subtasks: []taskmodel.Subtask{{Name: "x", ECU: 1, NominalExec: simtime.FromMillis(7), MinRatio: 1, Weight: 1}},
+				RateMin:  30, RateMax: 30,
+			},
+		},
+	})
+	eng := simtime.NewEngine()
+	s := New(eng, taskmodel.NewState(sys), Config{Exec: exectime.NewNoise(exectime.Nominal{}, 0.3, 5)})
+	const samplers = 1
+	eng.Every(100*simtime.Millisecond, func(simtime.Time) { s.SampleUtilizations() })
+	s.Start()
+	limit := len(sys.Tasks) + sys.NumECUs + samplers
+	for eng.Now() < simtime.At(5) && eng.Step() {
+		if p := eng.Pending(); p > limit {
+			t.Fatalf("at %v: %d events pending, want <= %d (tasks + ECUs + samplers)", eng.Now(), p, limit)
+		}
+	}
+	if c := s.Counter(1); c.Missed == 0 || s.Counter(0).Completed == 0 {
+		t.Fatalf("counters %+v / %+v: want the overloaded task aborted and the fast task completing", c, s.Counter(0))
+	}
+}

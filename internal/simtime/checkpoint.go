@@ -19,22 +19,20 @@ type EventArg struct {
 
 // slotCheckpoint is one captured arena cell. Free slots contribute only
 // their generation (EventIDs embedded in restored component state must keep
-// verifying); queued slots additionally carry the full event: the CallFunc
+// verifying); queued slots additionally carry the callback: the CallFunc
 // value is shared verbatim — trampolines are package-level functions with
-// no captured state — while the argument travels symbolically.
+// no captured state — while the argument travels symbolically. The event's
+// ordering key travels in the captured heap entry.
 type slotCheckpoint struct {
-	at      Time
-	seq     uint64
 	gen     uint32
 	heapIdx int32
-	pre     bool
 	call    CallFunc
 	arg     EventArg
 }
 
 // EngineCheckpoint is a deep copy of an Engine's complete observable state:
 // clock, sequence counter, stop flag, the slot arena (with per-slot
-// generations), the index heap, and the free list. It is produced by
+// generations), the keyed heap, and the free list. It is produced by
 // CaptureFrom and consumed by RestoreTo; a checkpoint holds no pointers
 // into the captured engine, so it may be shared read-only across the worker
 // sessions of a branching campaign.
@@ -43,7 +41,7 @@ type EngineCheckpoint struct {
 	nextSeq uint64
 	stopped bool
 	slots   []slotCheckpoint
-	heap    []uint32
+	heap    []heapEntry
 	free    []uint32
 }
 
@@ -69,14 +67,15 @@ func (cp *EngineCheckpoint) CaptureFrom(e *Engine, encode func(arg any) (EventAr
 	cp.slots = cp.slots[:0]
 	for i := range e.slots {
 		s := &e.slots[i]
-		sc := slotCheckpoint{at: s.at, seq: s.seq, gen: s.gen, heapIdx: s.heapIdx, pre: s.pre}
+		sc := slotCheckpoint{gen: s.gen, heapIdx: s.heapIdx}
 		if s.heapIdx >= 0 {
+			at := e.heap[s.heapIdx].at
 			if s.fn != nil {
-				return fmt.Errorf("simtime: snapshot: pending closure event at %v (slot %d); only ScheduleCall events with registered argument types are checkpointable", s.at, i)
+				return fmt.Errorf("simtime: snapshot: pending closure event at %v (slot %d); only ScheduleCall events with registered argument types are checkpointable", at, i)
 			}
 			a, err := encode(s.arg)
 			if err != nil {
-				return fmt.Errorf("simtime: snapshot: pending event at %v (slot %d): %w", s.at, i, err)
+				return fmt.Errorf("simtime: snapshot: pending event at %v (slot %d): %w", at, i, err)
 			}
 			sc.call, sc.arg = s.call, a
 		}
@@ -103,7 +102,7 @@ func (cp *EngineCheckpoint) RestoreTo(e *Engine, decode func(arg EventArg) any) 
 	for i := range cp.slots {
 		sc := &cp.slots[i]
 		s := &e.slots[i]
-		s.at, s.seq, s.gen, s.heapIdx, s.pre = sc.at, sc.seq, sc.gen, sc.heapIdx, sc.pre
+		s.gen, s.heapIdx = sc.gen, sc.heapIdx
 		s.fn = nil
 		if sc.heapIdx >= 0 {
 			s.call = sc.call

@@ -28,16 +28,40 @@ type CallFunc func(now Time, arg any)
 type EventID uint64
 
 // eventSlot is one arena cell. Slots are recycled through a free list, so a
-// steady-state simulation schedules events with zero heap allocations.
+// steady-state simulation schedules events with zero heap allocations. The
+// ordering key lives in the heap entry, not here: sifts never touch the
+// arena except to record a moved entry's position.
 type eventSlot struct {
-	at      Time
-	seq     uint64 // FIFO tie-break among simultaneous events
 	gen     uint32 // bumped on release; stale IDs fail the generation check
-	heapIdx int32  // position in the index heap, -1 when not queued
-	pre     bool   // pre-band: orders before non-pre events at the same instant
+	heapIdx int32  // position in the heap, -1 when not queued
 	fn      EventFunc
 	call    CallFunc
 	arg     any
+}
+
+// heapEntry is one queued event as the heap orders it: the instant, the
+// band-and-FIFO key, and the arena slot holding the callback. ord is the
+// event's sequence number with bit 63 set for non-pre events, so comparing
+// ord alone puts the pre-band first and keeps FIFO order within a band.
+type heapEntry struct {
+	at  Time
+	ord uint64
+	idx uint32
+}
+
+// nonPre marks a heap entry's ord as outside the pre-band. Sequence numbers
+// count scheduled events and never reach bit 63.
+const nonPre = uint64(1) << 63
+
+// less orders entries by event time, pre-band before non-pre within an
+// instant, FIFO within a band. The (at, ord) key is unique per event (the
+// sequence number alone is), so the pop order — and therefore the whole
+// simulation — is a total order independent of heap layout.
+func (a heapEntry) less(b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.ord < b.ord
 }
 
 // Engine is a deterministic discrete-event simulation engine. Events
@@ -47,17 +71,18 @@ type eventSlot struct {
 // Engine is not safe for concurrent use; the simulation is single-threaded
 // by design so that identical seeds yield identical traces.
 //
-// Internally the engine is a slot arena with an index heap: event state
-// lives in a flat []eventSlot recycled through a free list, the heap orders
-// slot indices by (time, sequence), and EventIDs carry slot+generation so
-// Cancel needs no map. After warm-up the engine performs no heap
-// allocations; ReferenceEngine retains the naive boxed implementation the
-// equivalence tests compare against.
+// Internally the engine is a slot arena with a keyed heap: callbacks live
+// in a flat []eventSlot recycled through a free list, the heap holds each
+// event's (time, band+sequence) key inline next to its slot index so sifts
+// compare entries without indexing the arena, and EventIDs carry
+// slot+generation so Cancel needs no map. After warm-up the engine performs
+// no heap allocations; ReferenceEngine retains the naive boxed
+// implementation the equivalence tests compare against.
 type Engine struct {
 	now     Time
 	slots   []eventSlot
-	heap    []uint32 // slot indices ordered by (at, seq)
-	free    []uint32 // recycled slot indices (LIFO)
+	heap    []heapEntry // binary min-heap on (at, ord)
+	free    []uint32    // recycled slot indices (LIFO)
 	nextSeq uint64
 	stopped bool
 }
@@ -71,14 +96,13 @@ func NewEngine() *Engine { return &Engine{} }
 // before the reset is stale: Cancel on it reports false and can never
 // touch a reused slot. The free list is rebuilt so slots hand out in
 // ascending index order, matching the order a fresh engine appends them;
-// event ordering is a total order on (at, seq) either way, so a reset
+// event ordering is a total order on (at, pre, seq) either way, so a reset
 // engine replays a schedule identically to a fresh one.
 func (e *Engine) Reset() {
 	for i := range e.slots {
 		s := &e.slots[i]
 		s.gen++
 		s.heapIdx = -1
-		s.pre = false
 		s.fn, s.call, s.arg = nil, nil, nil
 	}
 	e.heap = e.heap[:0]
@@ -174,9 +198,13 @@ func (e *Engine) enqueue(at Time, fn EventFunc, call CallFunc, arg any, pre bool
 		idx = uint32(len(e.slots) - 1)
 	}
 	s := &e.slots[idx]
-	s.at, s.seq, s.pre = at, e.nextSeq, pre
 	s.fn, s.call, s.arg = fn, call, arg
-	e.heapPush(idx)
+	ord := e.nextSeq
+	if !pre {
+		ord |= nonPre
+	}
+	e.heap = append(e.heap, heapEntry{})
+	e.siftUp(len(e.heap)-1, heapEntry{at: at, ord: ord, idx: idx})
 	return EventID(uint64(idx+1) | uint64(s.gen)<<32)
 }
 
@@ -187,7 +215,6 @@ func (e *Engine) release(idx uint32) {
 	s := &e.slots[idx]
 	s.gen++
 	s.heapIdx = -1
-	s.pre = false
 	s.fn, s.call, s.arg = nil, nil, nil
 	e.free = append(e.free, idx)
 }
@@ -231,17 +258,17 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	for !e.stopped && len(e.heap) > 0 {
-		idx := e.heap[0]
-		s := &e.slots[idx]
-		if s.at > until {
+		top := e.heap[0]
+		if top.at > until {
 			break
 		}
 		// Copy out before releasing: the slot may be reused by events the
 		// callback schedules, and its generation bump is what makes a
 		// Cancel of the currently executing event a no-op.
-		at, fn, call, arg := s.at, s.fn, s.call, s.arg
+		s := &e.slots[top.idx]
+		at, fn, call, arg := top.at, s.fn, s.call, s.arg
 		e.heapPopTop()
-		e.release(idx)
+		e.release(top.idx)
 		e.now = at
 		if call != nil {
 			call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
@@ -264,14 +291,14 @@ func (e *Engine) Run(until Time) {
 func (e *Engine) RunBefore(t Time) {
 	e.stopped = false
 	for !e.stopped && len(e.heap) > 0 {
-		idx := e.heap[0]
-		s := &e.slots[idx]
-		if s.at >= t {
+		top := e.heap[0]
+		if top.at >= t {
 			return
 		}
-		at, fn, call, arg := s.at, s.fn, s.call, s.arg
+		s := &e.slots[top.idx]
+		at, fn, call, arg := top.at, s.fn, s.call, s.arg
 		e.heapPopTop()
-		e.release(idx)
+		e.release(top.idx)
 		e.now = at
 		if call != nil {
 			call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
@@ -290,11 +317,11 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	idx := e.heap[0]
-	s := &e.slots[idx]
-	at, fn, call, arg := s.at, s.fn, s.call, s.arg
+	top := e.heap[0]
+	s := &e.slots[top.idx]
+	at, fn, call, arg := top.at, s.fn, s.call, s.arg
 	e.heapPopTop()
-	e.release(idx)
+	e.release(top.idx)
 	e.now = at
 	if call != nil {
 		call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
@@ -344,84 +371,76 @@ func (e *Engine) Every(period Duration, fn EventFunc) (stop func()) {
 	}
 }
 
-// --- index heap ordered by (at, seq) ---
-
-// less orders slot indices by event time, pre-band before non-pre within an
-// instant, FIFO within a band. The (at, pre, seq) key is unique per event
-// (seq alone is), so the pop order — and therefore the whole simulation —
-// is a total order independent of heap layout.
-func (e *Engine) less(a, b uint32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	if sa.pre != sb.pre {
-		return sa.pre
-	}
-	return sa.seq < sb.seq
-}
-
-func (e *Engine) heapPush(idx uint32) {
-	e.heap = append(e.heap, idx)
-	i := len(e.heap) - 1
-	e.slots[idx].heapIdx = int32(i)
-	e.siftUp(i)
-}
+// --- keyed heap ordered by (at, ord) ---
+//
+// The sifts move a hole instead of swapping: each displaced entry is
+// written once and its slot's heapIdx updated once, and the moving entry
+// lands in the final hole.
 
 // heapPopTop removes the root without touching its slot.
 func (e *Engine) heapPopTop() {
 	last := len(e.heap) - 1
-	e.heapSwap(0, last)
+	x := e.heap[last]
 	e.heap = e.heap[:last]
 	if last > 0 {
-		e.siftDown(0)
+		e.siftDown(0, x)
 	}
 }
 
-// heapRemove removes the element at heap position i.
+// heapRemove removes the entry at heap position i.
 func (e *Engine) heapRemove(i int) {
 	last := len(e.heap) - 1
-	e.heapSwap(i, last)
+	x := e.heap[last]
 	e.heap = e.heap[:last]
-	if i < last {
-		e.siftDown(i)
-		e.siftUp(i)
+	if i == last {
+		return
+	}
+	if i > 0 && x.less(e.heap[(i-1)/2]) {
+		e.siftUp(i, x)
+	} else {
+		e.siftDown(i, x)
 	}
 }
 
-func (e *Engine) heapSwap(i, j int) {
+// siftUp places x into the hole at position i, moving larger ancestors
+// down until x's parent is not larger.
+func (e *Engine) siftUp(i int, x heapEntry) {
 	h := e.heap
-	h[i], h[j] = h[j], h[i]
-	e.slots[h[i]].heapIdx = int32(i)
-	e.slots[h[j]].heapIdx = int32(j)
-}
-
-func (e *Engine) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(e.heap[i], e.heap[parent]) {
-			return
+		p := h[parent]
+		if !x.less(p) {
+			break
 		}
-		e.heapSwap(i, parent)
+		h[i] = p
+		e.slots[p.idx].heapIdx = int32(i)
 		i = parent
 	}
+	h[i] = x
+	e.slots[x.idx].heapIdx = int32(i)
 }
 
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
+// siftDown places x into the hole at position i, moving smaller children
+// up until neither child is smaller than x.
+func (e *Engine) siftDown(i int, x heapEntry) {
+	h := e.heap
+	n := len(h)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		min := left
-		if right := left + 1; right < n && e.less(e.heap[right], e.heap[left]) {
-			min = right
+		c := h[child]
+		if right := child + 1; right < n && h[right].less(c) {
+			child, c = right, h[right]
 		}
-		if !e.less(e.heap[min], e.heap[i]) {
-			return
+		if !c.less(x) {
+			break
 		}
-		e.heapSwap(i, min)
-		i = min
+		h[i] = c
+		e.slots[c.idx].heapIdx = int32(i)
+		i = child
 	}
+	h[i] = x
+	e.slots[x.idx].heapIdx = int32(i)
 }

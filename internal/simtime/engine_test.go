@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -193,6 +194,37 @@ func TestStepObservesIntermediateState(t *testing.T) {
 	}
 	if !e.Step() || e.Step() {
 		t.Fatal("Step sequencing wrong")
+	}
+}
+
+// TestPreBandOrdersFirst pins the pre-band: at one instant every
+// ScheduleCallPre event runs before every ordinary event, whatever the
+// scheduling order, and each band stays FIFO — including across a Cancel
+// that pulls an entry out of the middle of the heap.
+func TestPreBandOrdersFirst(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	labels := make([]int, 8)
+	for i := range labels {
+		labels[i] = i
+	}
+	record := func(_ Time, arg any) { order = append(order, *arg.(*int)) }
+	e.ScheduleCall(At(1), record, &labels[4])
+	e.ScheduleCall(At(2), record, &labels[7])
+	e.ScheduleCall(At(1), record, &labels[5])
+	e.ScheduleCallPre(At(1), record, &labels[0])
+	gone := e.ScheduleCall(At(1), record, &labels[6])
+	e.ScheduleCallPre(At(1), record, &labels[1])
+	e.ScheduleCall(At(1), record, &labels[6])
+	e.ScheduleCallPre(At(2), record, &labels[3])
+	e.ScheduleCallPre(At(1), record, &labels[2])
+	if !e.Cancel(gone) {
+		t.Fatal("Cancel of a pending event = false")
+	}
+	e.Run(At(3))
+	want := []int{0, 1, 2, 4, 5, 6, 3, 7}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 

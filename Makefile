@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet bench profile profile-layers perfbench-smoke ci
+.PHONY: all build test race lint fmt vet bench profile profile-layers perfbench-smoke loc ci
 
 all: build
 
@@ -33,7 +33,7 @@ lint:
 # controller tick, the Equation-8 knapsack ablation, the constrained
 # least-squares kernel, the raw scheduler throughput, the fleet-scale
 # batch runtime (fresh vs reused-session vs streaming runs/sec), the
-# serving layer (admission + batching + warm-session requests/sec with
+# serving layer (admission + worker pickup + warm-session requests/sec with
 # p50/p95/p99 latency, per core count) and the columnar trace codec
 # (campaign bytes per retained run) — and records ns/op, B/op, allocs/op
 # plus every custom b.ReportMetric figure in BENCH_control.json so both
@@ -115,6 +115,17 @@ perfbench-smoke:
 	cd _perfbench && GOCACHE=$(PERFBENCH_BUILD)/gocache TMPDIR=$(PERFBENCH_BUILD)/tmp \
 		XDG_CONFIG_HOME=$(PERFBENCH_BUILD)/config GOPATH=$(PERFBENCH_BUILD)/gopath \
 		GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod $(GO) test -short .
+
+# loc prints the production Go line count per package directory and the
+# total: every .go file except _test.go files, skipping the directories
+# the go tool skips (testdata, vendor, _*, .*), so _perfbench is out too.
+# A change that claims to make the code smaller quotes the total before
+# and after. Not part of `make ci`.
+loc:
+	@find . \( -name testdata -o -name vendor -o -name '_*' -o -name '.?*' \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | sort | xargs wc -l | awk '\
+	$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -167,13 +167,6 @@ func RunAll(cfgs []RunConfig, workers int) ([]*RunResult, error) {
 	return core.RunAll(cfgs, workers)
 }
 
-// RunAllInto is RunAll with recycled result slots: pass the previous
-// batch's results back in and the retained deep copies reuse their
-// buffers instead of allocating fresh ones every campaign round.
-func RunAllInto(cfgs []RunConfig, workers int, recycle []*RunResult) ([]*RunResult, error) {
-	return core.RunAllInto(cfgs, workers, recycle)
-}
-
 // RunStream executes experiments pulled on demand from next over reusable
 // per-worker sessions, streaming outcomes to onResult in input order. The
 // *RunResult passed to onResult is session-owned and valid only during the

@@ -330,7 +330,7 @@ func BenchmarkSchedulerSteadyState(b *testing.B) {
 		eng.Run(eng.Now().Add(100 * simtime.Millisecond))
 	}
 	var released uint64
-	for _, c := range s.Counters() {
+	for _, c := range s.CountersInto(nil) {
 		released += c.Released
 	}
 	b.ReportMetric(float64(released)/float64(b.N), "chains_per_op")
@@ -566,7 +566,7 @@ func BenchmarkAblationSyncPolicy(b *testing.B) {
 				s.Start()
 				eng.Run(simtime.At(60))
 				var missed, resolved uint64
-				for _, c := range s.Counters() {
+				for _, c := range s.CountersInto(nil) {
 					missed += c.Missed
 					resolved += c.Missed + c.Completed
 				}
@@ -790,12 +790,13 @@ func BenchmarkFleetThroughput(b *testing.B) {
 }
 
 // BenchmarkServeThroughput prices the serving layer end to end: each
-// iteration is one request through the full admission + batching + warm
-// session + colfmt serialization pipeline (serve.Execute — HTTP framing
-// excluded, everything the batcher controls included). Closed-loop clients
-// keep the queue fed so batches coalesce as they do under live load, and
-// the server's own registry supplies the latency percentiles the /v1/metrics
-// endpoint would report. Sub-benchmarks pin the worker count: cores=1 is
+// iteration is one request through the full admission + work-conserving
+// worker pickup + warm session + colfmt serialization pipeline
+// (serve.Execute — HTTP framing excluded, everything from admission to the
+// response body included). Closed-loop clients keep the queue fed so every
+// worker pulls its next admitted run as soon as it finishes one, as under
+// live load, and the server's own registry supplies the latency
+// percentiles the /v1/metrics endpoint would report. Sub-benchmarks pin the worker count: cores=1 is
 // the honest single-core figure every machine records; the multi-core point
 // only exists where the hardware does (the ≥2x scaling acceptance runs
 // there), so a 1-core CI box records cores=1 rather than a fake scaled
@@ -821,7 +822,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 						return true
 					case 429:
 						// Closed loop briefly overran the queue; the retry
-						// re-enters admission once the worker drains a batch.
+						// re-enters admission once a worker picks up a run
+						// and frees its slot.
 						continue
 					default:
 						b.Errorf("status %d: %s", resp.Status, resp.Body)

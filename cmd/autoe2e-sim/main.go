@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
@@ -57,8 +58,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *duration > 0 {
-		cfg.Duration = simtime.FromSeconds(*duration)
+	if cfg.Duration, err = durationFlag(*duration, cfg.Duration); err != nil {
+		log.Fatal(err)
 	}
 
 	if *analyze {
@@ -87,6 +88,20 @@ func main() {
 		}
 		fmt.Printf("\ntrace written to %s\n", *csvPath)
 	}
+}
+
+// durationFlag resolves the -duration flag: 0 keeps the scenario's
+// default, any other value must be a finite number of seconds that is at
+// least one tick of the 1 µs simulation clock and fits in a Duration.
+func durationFlag(seconds float64, def simtime.Duration) (simtime.Duration, error) {
+	if seconds == 0 {
+		return def, nil
+	}
+	us := seconds * float64(simtime.Second)
+	if math.IsNaN(us) || us < 0.5 || us+0.5 >= math.MaxInt64 {
+		return 0, fmt.Errorf("-duration %v: want 0 (scenario default) or a finite number of seconds in [5e-7, %.4g]", seconds, float64(math.MaxInt64)/float64(simtime.Second))
+	}
+	return simtime.FromSeconds(seconds), nil
 }
 
 func parseMode(s string) (core.Mode, error) {

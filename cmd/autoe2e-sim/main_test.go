@@ -1,11 +1,51 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/autoe2e/autoe2e/internal/core"
+	"github.com/autoe2e/autoe2e/internal/simtime"
 )
+
+func TestDurationFlag(t *testing.T) {
+	const def = 60 * simtime.Second
+	tests := []struct {
+		in      float64
+		want    simtime.Duration
+		wantErr bool
+	}{
+		{0, def, false},
+		{2.5, 2500 * simtime.Millisecond, false},
+		{1e-6, simtime.Microsecond, false},
+		{5e-7, simtime.Microsecond, false},
+		{1e12, 1e12 * simtime.Second, false},
+		{-1, 0, true},
+		{math.Copysign(0, -1), def, false},
+		{1e-7, 0, true},
+		{math.NaN(), 0, true},
+		{math.Inf(1), 0, true},
+		{math.Inf(-1), 0, true},
+		{1e16, 0, true},
+	}
+	for _, tt := range tests {
+		got, err := durationFlag(tt.in, def)
+		if (err != nil) != tt.wantErr {
+			t.Errorf("durationFlag(%v) error = %v, want error %v", tt.in, err, tt.wantErr)
+			continue
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "-duration") {
+				t.Errorf("durationFlag(%v) error %q does not name the flag", tt.in, err)
+			}
+			continue
+		}
+		if got != tt.want {
+			t.Errorf("durationFlag(%v) = %v, want %v", tt.in, got, tt.want)
+		}
+	}
+}
 
 func TestParseMode(t *testing.T) {
 	tests := []struct {

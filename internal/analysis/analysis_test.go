@@ -270,7 +270,7 @@ func TestCertifiedImpliesNoMisses(t *testing.T) {
 		s := sched.New(eng, taskmodel.NewState(sys), sched.Config{Exec: exectime.Nominal{}})
 		s.Start()
 		eng.Run(simtime.At(20))
-		for _, c := range s.Counters() {
+		for _, c := range s.CountersInto(nil) {
 			if c.Missed > 0 {
 				return false
 			}

@@ -204,7 +204,7 @@ func (s *Session) Restore(cp *Checkpoint) error {
 	if cp == nil || cp.sys == nil {
 		return fmt.Errorf("core: Restore from an empty checkpoint")
 	}
-	if !s.built || s.sys != cp.sys || s.mwCfg != cp.mwCfg {
+	if !s.hasShape(cp.sys, cp.mwCfg) {
 		// Placeholder execution model: behavioral configuration is not part
 		// of a checkpoint; Resume installs the continuation's models before
 		// any event fires.

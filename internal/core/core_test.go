@@ -11,6 +11,7 @@ import (
 	"github.com/autoe2e/autoe2e/internal/sched"
 	"github.com/autoe2e/autoe2e/internal/simtime"
 	"github.com/autoe2e/autoe2e/internal/taskmodel"
+	"github.com/autoe2e/autoe2e/internal/trace"
 	"github.com/autoe2e/autoe2e/internal/units"
 )
 
@@ -291,7 +292,7 @@ func TestMiddlewareStartTwicePanics(t *testing.T) {
 	sys := testSystem(t)
 	eng := simtime.NewEngine()
 	s := sched.New(eng, taskmodel.NewState(sys), sched.Config{Exec: exectime.Nominal{}})
-	mw, err := NewMiddleware(eng, s, Config{}, nil)
+	mw, err := NewMiddleware(eng, s, Config{}, trace.NewRecorder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestMiddlewareSurfacesControllerError(t *testing.T) {
 	eng := simtime.NewEngine()
 	state := taskmodel.NewState(sys)
 	scheduler := sched.New(eng, state, sched.Config{Exec: exectime.Nominal{}})
-	mw, err := NewMiddleware(eng, scheduler, Config{Mode: ModeEUCON}, nil)
+	mw, err := NewMiddleware(eng, scheduler, Config{Mode: ModeEUCON}, trace.NewRecorder())
 	if err != nil {
 		t.Fatal(err)
 	}

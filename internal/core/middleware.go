@@ -3,8 +3,10 @@
 // the utilization monitors and the rate/execution-time modulators, wired to
 // the distributed scheduler simulation (package sched) on one event engine.
 //
-// It also provides Run, the one-call experiment runner used by the
-// examples, the CLI tools, and every figure-reproduction benchmark.
+// It also provides Session, the one place a run is assembled, and the entry
+// points over it: Run (a fresh Session used once, the one-call runner of
+// the examples, the CLI tools and the figure reproductions), RunAll,
+// RunStream and RunTree.
 package core
 
 import (
@@ -139,15 +141,12 @@ type Middleware struct {
 	err         error
 }
 
-// NewMiddleware wires the controllers to a scheduler. The recorder may be
-// nil, in which case a fresh one is created.
+// NewMiddleware wires the controllers to a scheduler; they record their
+// series into rec.
 func NewMiddleware(eng *simtime.Engine, sch sched.Driver, cfg Config, rec *trace.Recorder) (*Middleware, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if rec == nil {
-		rec = trace.NewRecorder()
 	}
 	m := &Middleware{
 		eng:   eng,
@@ -193,9 +192,6 @@ func NewMiddleware(eng *simtime.Engine, sch sched.Driver, cfg Config, rec *trace
 	return m, nil
 }
 
-// Recorder exposes the time series collected by the middleware.
-func (m *Middleware) Recorder() *trace.Recorder { return m.rec }
-
 // Err returns the first controller failure encountered during the run, or
 // nil. A non-nil error means the middleware stopped the engine early and
 // the collected traces cover only the prefix of the run.
@@ -217,7 +213,7 @@ func (m *Middleware) Start() {
 		panic("core: Middleware.Start called twice") //lint:allow panicguard double Start corrupts the tick cadence; failing loudly is the contract
 	}
 	m.started = true
-	m.lastCounters = m.sch.CountersInto(m.lastCounters) //lint:hookpoint driver dispatch: the pooled Scheduler certifies this at its own root; the Reference oracle allocates by design
+	m.lastCounters = m.sch.CountersInto(m.lastCounters)
 	m.eng.AfterCall(m.cfg.InnerPeriod, middlewareTickEvent, m)
 }
 
@@ -252,7 +248,7 @@ func middlewareTickEvent(now simtime.Time, arg any) {
 // run the rate controller, and every OuterEvery-th period run the outer
 // precision controller.
 func (m *Middleware) innerTick(now simtime.Time) {
-	m.utilsBuf = m.sch.SampleUtilizationsInto(m.utilsBuf) //lint:hookpoint driver dispatch: the pooled Scheduler certifies this at its own root; the Reference oracle allocates by design
+	m.utilsBuf = m.sch.SampleUtilizationsInto(m.utilsBuf)
 	utils := m.utilsBuf
 	m.recordMetrics(now, utils)
 
@@ -304,7 +300,7 @@ func (m *Middleware) recordMetrics(now simtime.Time, utils []units.Util) {
 	sys := m.state.System()
 	// Double-buffer the counter snapshots: the previous snapshot becomes
 	// this tick's scratch buffer, so steady-state ticks allocate nothing.
-	counters := m.sch.CountersInto(m.countersBuf) //lint:hookpoint driver dispatch: the pooled Scheduler certifies this at its own root; the Reference oracle allocates by design
+	counters := m.sch.CountersInto(m.countersBuf)
 	var windowMissed, windowResolved uint64
 	for i := range sys.Tasks {
 		m.rateHs[i].Add(t, m.state.Rate(taskmodel.TaskID(i)).Float())

@@ -57,11 +57,6 @@ type RunConfig struct {
 	// reproduces the exact sample sequences of the replayed run. Plain
 	// runs ignore the field.
 	Rands []*simtime.Rand
-	// ReferenceSubstrate runs the experiment on the retained naive
-	// scheduler (sched.Reference) instead of the pooled production one.
-	// Test support only: the substrate golden tests require byte-identical
-	// results between the two over full closed loops.
-	ReferenceSubstrate bool
 }
 
 // RunResult carries everything the harnesses report on.
@@ -114,61 +109,10 @@ func (r *RunResult) MissRatio(i taskmodel.TaskID) float64 {
 
 // Run executes one experiment: it validates the configuration, assembles
 // engine + scheduler + middleware, schedules the scenario events, runs to
-// cfg.Duration, and returns the collected results.
+// cfg.Duration, and returns the collected results. It is a fresh Session
+// used once and discarded, so the result is the caller's to keep.
 func Run(cfg RunConfig) (*RunResult, error) {
-	if cfg.System == nil {
-		return nil, fmt.Errorf("core: RunConfig.System is required")
-	}
-	if cfg.Exec == nil {
-		return nil, fmt.Errorf("core: RunConfig.Exec is required")
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("core: RunConfig.Duration = %v, want > 0", cfg.Duration)
-	}
-
-	eng := simtime.NewEngine()
-	state := taskmodel.NewState(cfg.System)
-	if cfg.Setup != nil {
-		cfg.Setup(state)
-	}
-	schedCfg := sched.Config{
-		Exec:      cfg.Exec,
-		LinkDelay: cfg.LinkDelay,
-		OnChain:   cfg.OnChain,
-	}
-	var scheduler sched.Driver
-	if cfg.ReferenceSubstrate {
-		scheduler = sched.NewReference(eng, state, schedCfg)
-	} else {
-		scheduler = sched.New(eng, state, schedCfg)
-	}
-	mw, err := NewMiddleware(eng, scheduler, cfg.Middleware, nil)
-	if err != nil {
-		return nil, err
-	}
-	mw.onInner = cfg.OnInnerTick
-	for _, ev := range cfg.Events {
-		if ev.Do == nil {
-			return nil, fmt.Errorf("core: scenario event at %v has nil action", ev.At)
-		}
-		ev := ev
-		eng.Schedule(ev.At, func(simtime.Time) { ev.Do(state) })
-	}
-	if cfg.Attach != nil {
-		cfg.Attach(eng, state)
-	}
-	scheduler.Start()
-	mw.Start()
-	eng.Run(simtime.Time(cfg.Duration))
-	if err := mw.Err(); err != nil {
-		return nil, err
-	}
-
-	return &RunResult{
-		Trace:    mw.Recorder(),
-		Counters: scheduler.Counters(),
-		State:    state,
-	}, nil
+	return NewSession().Run(cfg)
 }
 
 // RunStream executes the experiments produced by next — pulled on demand,
@@ -273,18 +217,6 @@ func returnSessions(src []*Session) {
 // order), along with the full result slice — successful runs keep their
 // results, failed entries are nil.
 func RunAll(cfgs []RunConfig, workers int) ([]*RunResult, error) {
-	return RunAllInto(cfgs, workers, nil)
-}
-
-// RunAllInto is RunAll with recycled result slots: recycle's entries are
-// rotated back in as the CloneInto destinations of the retained results,
-// index for index, so a campaign loop that feeds each batch's results into
-// the next call pays the retention deep copy's allocations once, not once
-// per run. recycle may be nil, shorter than cfgs, or hold nil entries —
-// missing slots fall back to fresh clones. Its entries must be
-// caller-owned results the caller is done reading: the returned slice
-// reuses their backing memory.
-func RunAllInto(cfgs []RunConfig, workers int, recycle []*RunResult) ([]*RunResult, error) {
 	results := make([]*RunResult, len(cfgs))
 	errs := make([]error, 0, len(cfgs))
 	i := 0
@@ -301,11 +233,7 @@ func RunAllInto(cfgs []RunConfig, workers int, recycle []*RunResult) ([]*RunResu
 			errs = append(errs, fmt.Errorf("core: run %d: %w", j, err))
 			return
 		}
-		var dst *RunResult
-		if j < len(recycle) {
-			dst = recycle[j]
-		}
-		results[j] = r.CloneInto(dst)
+		results[j] = r.Clone()
 	})
 	return results, errors.Join(errs...)
 }

@@ -58,8 +58,12 @@ func RunTree(tc TreeConfig) ([]*RunResult, error) {
 	return RunTreeInto(tc, nil)
 }
 
-// RunTreeInto is RunTree with recycled result slots, index for index, with
-// the same contract as RunAllInto's recycle parameter.
+// RunTreeInto is RunTree with recycled result slots: recycle's entries are
+// the CloneInto destinations of the fork results, index for index, so a
+// campaign loop that feeds each call's results into the next pays the
+// retention deep copy's allocations once. recycle may be nil, shorter
+// than Forks, or hold nil entries; its entries must be caller-owned
+// results the caller is done reading.
 func RunTreeInto(tc TreeConfig, recycle []*RunResult) ([]*RunResult, error) {
 	if tc.Base == nil {
 		return nil, fmt.Errorf("core: TreeConfig.Base is required")

@@ -10,12 +10,14 @@ import (
 	"github.com/autoe2e/autoe2e/internal/trace"
 )
 
-// Session is a reusable experiment runner: one engine, scheduler, state and
+// Session is the one experiment runner: one engine, scheduler, state and
 // middleware built once and reset between runs, so steady-state batch
 // execution (parameter sweeps, fleet evaluations, Monte Carlo seeds)
-// allocates approximately nothing per run. A Session produces byte-identical
-// traces, counters and final state to the fresh-allocation Run — the golden
-// and fuzz tests pin that equivalence.
+// allocates approximately nothing per run. Every entry point runs on it;
+// the package-level Run is a fresh Session used once. A warm session
+// produces byte-identical traces, counters and final state to a fresh one
+// — the session golden tests pin that equivalence across reuse and shape
+// switches.
 //
 // The shape of a session — the task system and the middleware configuration
 // — is fixed by the first Run call; a later call with a different System
@@ -92,51 +94,54 @@ func sessionEventCall(_ simtime.Time, arg any) {
 // NewSession returns an empty session; the first Run builds the plumbing.
 func NewSession() *Session { return &Session{} }
 
-// validateRunConfig is the shared precondition check of Run and RunPartial.
-func validateRunConfig(cfg RunConfig) error {
+// validateRunConfig is the shared precondition check of Run and
+// RunPartial. It returns the normalized middleware config, the session's
+// shape key.
+func validateRunConfig(cfg RunConfig) (Config, error) {
 	if cfg.System == nil {
-		return fmt.Errorf("core: RunConfig.System is required")
+		return Config{}, fmt.Errorf("core: RunConfig.System is required")
 	}
 	if cfg.Exec == nil {
-		return fmt.Errorf("core: RunConfig.Exec is required")
+		return Config{}, fmt.Errorf("core: RunConfig.Exec is required")
 	}
 	if cfg.Duration <= 0 {
-		return fmt.Errorf("core: RunConfig.Duration = %v, want > 0", cfg.Duration)
+		return Config{}, fmt.Errorf("core: RunConfig.Duration = %v, want > 0", cfg.Duration)
 	}
 	for _, ev := range cfg.Events {
 		if ev.Do == nil {
-			return fmt.Errorf("core: scenario event at %v has nil action", ev.At)
+			return Config{}, fmt.Errorf("core: scenario event at %v has nil action", ev.At)
 		}
 	}
-	return nil
+	mwCfg := cfg.Middleware.withDefaults()
+	return mwCfg, mwCfg.validate()
 }
 
-// Run executes one experiment on the session's reusable plumbing, exactly
-// as the package-level Run would: same validation, same event ordering,
-// same results. ReferenceSubstrate configs delegate to the fresh-allocation
-// Run — the naive scheduler exists to be rebuilt from scratch.
+// schedConfig is the scheduler configuration a run config asks for.
+func schedConfig(cfg RunConfig) sched.Config {
+	return sched.Config{Exec: cfg.Exec, LinkDelay: cfg.LinkDelay, OnChain: cfg.OnChain}
+}
+
+// hasShape reports whether the session's plumbing is built for sys and
+// the normalized middleware config, so a run can reset it in place.
+func (s *Session) hasShape(sys *taskmodel.System, mwCfg Config) bool {
+	return s.built && s.sys == sys && s.mwCfg == mwCfg
+}
+
+// Run executes one experiment on the session's reusable plumbing. The
+// package-level Run is a fresh Session used once, so every run, fresh or
+// warm, is assembled here; the session golden tests pin that a warm reset
+// leaves nothing behind.
 //
 // Run itself only validates and routes; the warm steady-state path is
 // runWarm, whose interprocedural noalloc/nopanic/deterministic contract the
 // effects analyzer certifies from root to engine drain.
 func (s *Session) Run(cfg RunConfig) (*RunResult, error) {
-	if err := validateRunConfig(cfg); err != nil {
+	mwCfg, err := validateRunConfig(cfg)
+	if err != nil {
 		return nil, err
 	}
-	mwCfg := cfg.Middleware.withDefaults()
-	if err := mwCfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.ReferenceSubstrate {
-		return Run(cfg)
-	}
-
-	schedCfg := sched.Config{
-		Exec:      cfg.Exec,
-		LinkDelay: cfg.LinkDelay,
-		OnChain:   cfg.OnChain,
-	}
-	if s.built && s.sys == cfg.System && s.mwCfg == mwCfg {
+	schedCfg := schedConfig(cfg)
+	if s.hasShape(cfg.System, mwCfg) {
 		return s.runWarm(cfg, schedCfg)
 	}
 	if err := s.rebuild(cfg, mwCfg, schedCfg); err != nil {
@@ -152,29 +157,16 @@ func (s *Session) Run(cfg RunConfig) (*RunResult, error) {
 // this session to the configured end). Unlike Run it registers the
 // config's random streams (cfg.Rands plus what Exec carries) so a
 // subsequent Snapshot captures their mid-run states.
-//
-// ReferenceSubstrate is not supported: the naive oracle has no partial-run
-// or snapshot machinery, by design.
 func (s *Session) RunPartial(cfg RunConfig, until simtime.Time) error {
-	if err := validateRunConfig(cfg); err != nil {
+	mwCfg, err := validateRunConfig(cfg)
+	if err != nil {
 		return err
-	}
-	if cfg.ReferenceSubstrate {
-		return fmt.Errorf("core: RunPartial does not support ReferenceSubstrate")
 	}
 	if until < 0 || until > simtime.Time(cfg.Duration) {
 		return fmt.Errorf("core: RunPartial until %v outside [0, %v]", until, cfg.Duration)
 	}
-	mwCfg := cfg.Middleware.withDefaults()
-	if err := mwCfg.validate(); err != nil {
-		return err
-	}
-	schedCfg := sched.Config{
-		Exec:      cfg.Exec,
-		LinkDelay: cfg.LinkDelay,
-		OnChain:   cfg.OnChain,
-	}
-	if s.built && s.sys == cfg.System && s.mwCfg == mwCfg {
+	schedCfg := schedConfig(cfg)
+	if s.hasShape(cfg.System, mwCfg) {
 		s.resetWarm(cfg, schedCfg)
 	} else if err := s.rebuild(cfg, mwCfg, schedCfg); err != nil {
 		return err
@@ -195,9 +187,11 @@ func (s *Session) RunPartial(cfg RunConfig, until simtime.Time) error {
 // replace the prefix's models from the current instant on, and Events are
 // injected into the schedule (each must lie at or after the session
 // clock). Setup and Attach are prefix-time concerns and are ignored;
-// System, if set, must match the session's. After a Restore, the
-// continuation's random streams are rewound to the checkpointed states, so
-// the fork consumes the exact sample sequences the replayed run would.
+// System, if set, must match the session's, and so must Middleware, if
+// non-zero, once normalized: the controllers are part of the live state.
+// After a Restore, the continuation's random streams are rewound to the
+// checkpointed states, so the fork consumes the exact sample sequences the
+// replayed run would.
 //
 // Byte-identity contract (pinned by the fork golden and fuzz tests): for a
 // prefix run with events E forked at time t, Resume with events F yields
@@ -213,8 +207,8 @@ func (s *Session) Resume(cfg RunConfig) (*RunResult, error) {
 	if cfg.System != nil && cfg.System != s.sys {
 		return nil, fmt.Errorf("core: Resume config System differs from the session's (leave it nil to continue the restored system)")
 	}
-	if cfg.ReferenceSubstrate {
-		return nil, fmt.Errorf("core: Resume does not support ReferenceSubstrate")
+	if cfg.Middleware != (Config{}) && cfg.Middleware.withDefaults() != s.mwCfg {
+		return nil, fmt.Errorf("core: Resume config Middleware differs from the session's (leave it zero to continue the restored controllers)")
 	}
 	now := s.eng.Now()
 	until := simtime.Time(cfg.Duration)
@@ -229,11 +223,7 @@ func (s *Session) Resume(cfg RunConfig) (*RunResult, error) {
 			return nil, fmt.Errorf("core: resume event at %v is before the session clock %v", ev.At, now)
 		}
 	}
-	s.sch.Reconfigure(sched.Config{
-		Exec:      cfg.Exec,
-		LinkDelay: cfg.LinkDelay,
-		OnChain:   cfg.OnChain,
-	})
+	s.sch.Reconfigure(schedConfig(cfg))
 	s.mw.onInner = cfg.OnInnerTick
 	s.collectRands(cfg)
 	if len(s.randStates) > 0 {

@@ -222,6 +222,52 @@ func TestSessionValidatesLikeRun(t *testing.T) {
 	}
 }
 
+// TestResumeMiddlewareMustMatch: a continuation config may leave
+// Middleware zero or repeat the session's (normalized) config; any other
+// Middleware is rejected before the session is touched, since the live
+// controllers cannot be swapped mid-run. Both accepted forms stay
+// byte-identical to a fresh run.
+func TestResumeMiddlewareMustMatch(t *testing.T) {
+	sys := testSystem(t)
+	// The in-place continuation keeps drawing from the prefix's noise
+	// stream, so each session's configs share one Exec.
+	var exec exectime.Model
+	mk := func(mw Config) RunConfig {
+		return RunConfig{
+			System:     sys,
+			Exec:       exec,
+			Middleware: mw,
+			Duration:   12 * simtime.Second,
+		}
+	}
+	exec = exectime.NewNoise(exectime.Nominal{}, 0.3, 5)
+	fresh, err := Run(mk(Config{Mode: ModeAutoE2E}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sessionCSV(t, fresh)
+
+	for _, cont := range []Config{{}, {Mode: ModeAutoE2E, InnerPeriod: simtime.Second, OuterEvery: 10}} {
+		exec = exectime.NewNoise(exectime.Nominal{}, 0.3, 5)
+		s := NewSession()
+		if err := s.RunPartial(mk(Config{Mode: ModeAutoE2E}), simtime.At(4.5)); err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []Config{{Mode: ModeEUCON}, {Mode: ModeAutoE2E, OuterEvery: 5}} {
+			if _, err := s.Resume(mk(bad)); err == nil || !strings.Contains(err.Error(), "Middleware") {
+				t.Fatalf("Resume with Middleware %+v: err = %v, want a Middleware mismatch", bad, err)
+			}
+		}
+		res, err := s.Resume(mk(cont))
+		if err != nil {
+			t.Fatalf("Resume with Middleware %+v: %v", cont, err)
+		}
+		if !bytes.Equal(sessionCSV(t, res), want) {
+			t.Fatalf("Resume with Middleware %+v diverged from the fresh run", cont)
+		}
+	}
+}
+
 // TestRunStreamMatchesRun pins the streaming batch runner to the fresh
 // runner: same results in input order for every worker count, with the
 // callback observing indices strictly in order.

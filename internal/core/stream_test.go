@@ -106,56 +106,6 @@ func TestCloneIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRunAllIntoRecyclesResults: feeding a batch's results back in as the
-// next batch's destinations reuses the slots pointer-for-pointer and still
-// matches fresh clones exactly.
-func TestRunAllIntoRecyclesResults(t *testing.T) {
-	sys := testSystem(t)
-	mkCfgs := func() []RunConfig {
-		var cfgs []RunConfig
-		for seed := int64(1); seed <= 3; seed++ {
-			cfgs = append(cfgs, RunConfig{
-				System:     sys,
-				Exec:       exectime.NewNoise(exectime.Nominal{}, 0.3, seed),
-				Middleware: Config{Mode: ModeAutoE2E, InnerPeriod: simtime.Second},
-				Duration:   6 * simtime.Second,
-			})
-		}
-		return cfgs
-	}
-	first, err := RunAll(mkCfgs(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunAll(mkCfgs(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunAllInto(mkCfgs(), 2, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range second {
-		if second[i] != first[i] {
-			t.Errorf("result %d: recycle slot not reused", i)
-		}
-		requireResultsEqual(t, "recycled batch", want[i], second[i])
-	}
-
-	// Short and nil-entry recycle slices are tolerated.
-	partial := []*RunResult{nil, second[1]}
-	third, err := RunAllInto(mkCfgs(), 1, partial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range third {
-		requireResultsEqual(t, "partial recycle", want[i], third[i])
-	}
-	if third[1] != partial[1] {
-		t.Error("non-nil partial recycle slot not reused")
-	}
-}
-
 // TestStreamSteadyStateAllocs is the de-allocated stream path's gate: with
 // warm pooled sessions, a whole serial RunStream batch costs a handful of
 // per-call allocations (the session slice and the closures) and nothing

@@ -119,10 +119,11 @@ func TestEffects(t *testing.T)       { runFixtures(t, Effects) }
 func TestParSafe(t *testing.T)       { runFixtures(t, ParSafe) }
 
 // TestLoadModuleTests pins the _test.go loading contract: the in-package
-// test file is type-checked augmented with the non-test sources (it
-// references an unexported constant), the external _test package loads
-// standalone, and floateq's test-file mode flags only the
-// fresh-arithmetic comparison.
+// test files are type-checked augmented with the non-test sources (one
+// references an unexported constant), the external _test package is
+// checked against that augmented package (it calls a helper only a test
+// file exports, through a package that imports m), and floateq's
+// test-file mode flags only the fresh-arithmetic comparison.
 func TestLoadModuleTests(t *testing.T) {
 	pkgs, err := NewLoader().LoadModuleTests(filepath.Join("testdata", "testmodule"))
 	if err != nil {
@@ -245,11 +246,11 @@ func TestAllowHygiene(t *testing.T) {
 // markers proven by hotpathalloc's escape replay, as the colfmt column
 // encoders do.
 const (
-	repoAllowCount     = 76 // updated by TestAnnotationInventory's failure output
+	repoAllowCount     = 75 // -1: sched.Reference (and its floateq allow) moved into a test file
 	repoStickyCount    = 26 // +2: checkpoint warm state (recycled capture scratch)
 	repoNoallocCount   = 27 // +6: serve serialize/metrics leaves, colfmt.AppendMagic + AppendRun (stdlib append callees block certify)
 	repoCertifyCount   = 19 // +1: serve.Registry.observe (per-request metrics fold)
-	repoHookpointCount = 20
+	repoHookpointCount = 17 // -3: Middleware driver dispatch; only the pooled Scheduler implements sched.Driver in non-test code
 )
 
 func TestAnnotationInventory(t *testing.T) {

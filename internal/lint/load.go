@@ -260,21 +260,51 @@ func (l *Loader) loadDirTests(dir, importPath string) ([]*Package, error) {
 		}
 	}
 	var out []*Package
+	ext := l
 	if len(inPkg) > 0 {
 		pkg, err := l.check(importPath, dir, append(base, inPkg...))
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
+		ext = l.forkWith(pkg)
 	}
 	if len(external) > 0 {
-		pkg, err := l.check(importPath+"_test", dir, external)
+		pkg, err := ext.check(importPath+"_test", dir, external)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
 	}
 	return out, nil
+}
+
+// forkWith returns a loader that resolves pkg's import path to pkg itself,
+// as the go tool builds an external test package against the package
+// under test augmented with its in-package test files, so helpers those
+// files export are visible. pkg's own module dependencies cannot import it
+// and are shared; any other module package is re-checked from source on
+// demand, against pkg, so its types agree with the external test's.
+func (l *Loader) forkWith(pkg *Package) *Loader {
+	f := &Loader{
+		Fset:    l.Fset,
+		modPath: l.modPath,
+		modRoot: l.modRoot,
+		cache:   map[string]*Package{pkg.Path: pkg},
+		loading: make(map[string]bool),
+	}
+	f.imp = &moduleImporter{l: f, fallback: l.imp.(*moduleImporter).fallback}
+	var share func(p *types.Package)
+	share = func(p *types.Package) {
+		for _, imp := range p.Imports() {
+			if dep := l.cache[imp.Path()]; dep != nil && f.cache[imp.Path()] == nil {
+				f.cache[imp.Path()] = dep
+				share(imp)
+			}
+		}
+	}
+	share(pkg.Pkg)
+	return f
 }
 
 // LoadDir parses and type-checks the non-test files of one directory as the

@@ -38,7 +38,9 @@ func observe(t *testing.T, res *core.RunResult, chains []sched.ChainEvent) obser
 	}
 }
 
-// runFresh executes the scenario through the fresh-allocation core.Run.
+// runFresh executes the scenario through core.Run, a fresh Session used
+// once, so every comparison against it checks that a reused session's
+// reset leaves nothing behind.
 func runFresh(t *testing.T, cfg core.RunConfig) observedRun {
 	t.Helper()
 	var chains []sched.ChainEvent
@@ -106,9 +108,9 @@ func requireRunsIdentical(t *testing.T, label string, want, got observedRun) {
 
 // TestSessionGoldenClosedLoops certifies the reusable batch runner: the
 // same closed-loop scenarios the substrate golden tests pin must be
-// byte-identical between the fresh-allocation core.Run and a core.Session —
-// on the session's cold first run AND on warm reuse runs, where every
-// component is reset in place instead of rebuilt. mk builds a fresh config
+// byte-identical between core.Run (a fresh session used once) and a reused
+// core.Session — on the session's cold first run AND on warm reuse runs,
+// where every component is reset in place instead of rebuilt. mk builds a fresh config
 // per call because execution-time models carry seeded RNG state.
 func TestSessionGoldenClosedLoops(t *testing.T) {
 	cases := []struct {

@@ -54,11 +54,17 @@ var rateSteps = []struct {
 	{simtime.At(2.3003), 1},
 }
 
+// startedDriver is what runDriver drives on either substrate.
+type startedDriver interface {
+	Driver
+	Start()
+}
+
 // runDriver drives one scheduler over the workload on its own engine,
 // moving rates at rateSteps and sampling utilizations every 200ms, and
 // returns the observable trace: utilization samples and final counters
 // (chain events are captured by the caller's OnChain).
-func runDriver(d Driver, eng *simtime.Engine) (utils []units.Util, counters []TaskCounter) {
+func runDriver(d startedDriver, eng *simtime.Engine) (utils []units.Util, counters []TaskCounter) {
 	st := d.State()
 	for _, step := range rateSteps {
 		eng.Schedule(step.at, func(simtime.Time) {
@@ -68,11 +74,11 @@ func runDriver(d Driver, eng *simtime.Engine) (utils []units.Util, counters []Ta
 		})
 	}
 	eng.Every(200*simtime.Millisecond, func(simtime.Time) {
-		utils = append(utils, d.SampleUtilizations()...)
+		utils = append(utils, d.SampleUtilizationsInto(nil)...)
 	})
 	d.Start()
 	eng.Run(simtime.At(3))
-	return utils, d.Counters()
+	return utils, d.CountersInto(nil)
 }
 
 // TestSchedulerMatchesReferenceFuzz is the scheduler-level golden gate:
@@ -177,7 +183,7 @@ func TestReferenceBehaves(t *testing.T) {
 	s := NewReference(eng, taskmodel.NewState(sys), Config{Exec: exectime.Nominal{}})
 	s.Start()
 	eng.Run(simtime.At(1) - 1)
-	c := s.Counter(0)
+	c := s.counters[0]
 	if c.Released != 10 || c.Completed != 10 || c.Missed != 0 {
 		t.Fatalf("reference counters = %+v, want 10/10/0", c)
 	}
@@ -232,7 +238,7 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state scheduler window allocates %v times, want 0", allocs)
 	}
-	c := s.Counter(1)
+	c := s.counters[1]
 	if c.Missed == 0 {
 		t.Fatal("overloaded task never missed: the abort path was not exercised")
 	}

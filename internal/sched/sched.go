@@ -19,8 +19,8 @@
 // the engine's closure-free ScheduleCall path, so a steady-state simulation
 // performs zero heap allocations per chain instance, from its release
 // through every admission and completion to its deadline.
-// Reference retains the naive allocating implementation; the equivalence
-// tests require byte-identical traces between the two.
+// The test files retain Reference, the naive allocating implementation;
+// the equivalence tests require byte-identical traces between the two.
 package sched
 
 import (
@@ -114,29 +114,20 @@ func (c TaskCounter) Sub(earlier TaskCounter) TaskCounter {
 	}
 }
 
-// Driver is the contract the middleware and the experiment runner need from
-// a chain scheduler. Scheduler (pooled, production) and Reference (naive,
-// golden oracle) both satisfy it, which is how the equivalence tests run
-// the full closed loops on either substrate.
+// Driver is what the middleware reads from a chain scheduler on each
+// control tick. Scheduler is the one production implementation; the
+// substrate golden tests also drive the middleware over the naive
+// Reference oracle, which lives in this package's test files.
 type Driver interface {
 	// State returns the operating point the scheduler reads rates and
 	// ratios from.
 	State() *taskmodel.State
-	// Start schedules the first release of every task. Call exactly once.
-	Start()
-	// Counter returns the cumulative accounting for one task.
-	Counter(i taskmodel.TaskID) TaskCounter
-	// Counters returns a fresh snapshot of the per-task accounting.
-	Counters() []TaskCounter
 	// CountersInto writes the per-task accounting into dst (grown if
-	// needed) and returns it; the allocation-free variant for control
-	// ticks.
+	// needed) and returns it.
 	CountersInto(dst []TaskCounter) []TaskCounter
-	// SampleUtilizations returns each ECU's busy fraction since the
-	// previous sample and starts a new window.
-	SampleUtilizations() []units.Util
-	// SampleUtilizationsInto is SampleUtilizations writing into dst
-	// (grown if needed); the allocation-free variant for control ticks.
+	// SampleUtilizationsInto writes each ECU's busy fraction since the
+	// previous sample into dst (grown if needed), starts a new window and
+	// returns dst.
 	SampleUtilizationsInto(dst []units.Util) []units.Util
 }
 
@@ -285,12 +276,9 @@ func (s *Scheduler) Reset(cfg Config) {
 	s.started = false
 }
 
-// Counters returns a snapshot of the cumulative per-task accounting.
-func (s *Scheduler) Counters() []TaskCounter { return s.CountersInto(nil) }
-
 // CountersInto writes the cumulative per-task accounting into dst, growing
 // it if needed, and returns it. The control tick calls this with a reused
-// buffer so sampling allocates nothing.
+// buffer so sampling allocates nothing; a nil dst returns a fresh snapshot.
 //
 //lint:certify noalloc,nopanic,deterministic control-tick counter snapshot; first-call sizing is the one audited allocation
 func (s *Scheduler) CountersInto(dst []TaskCounter) []TaskCounter {
@@ -302,17 +290,11 @@ func (s *Scheduler) CountersInto(dst []TaskCounter) []TaskCounter {
 	return dst
 }
 
-// Counter returns the cumulative accounting for one task.
-func (s *Scheduler) Counter(i taskmodel.TaskID) TaskCounter { return s.counters[i] }
-
-// SampleUtilizations returns each ECU's busy-time fraction since the
-// previous call (the paper's utilization monitor) and starts a new window.
-// Windows with zero width return 0.
-func (s *Scheduler) SampleUtilizations() []units.Util { return s.SampleUtilizationsInto(nil) }
-
-// SampleUtilizationsInto is SampleUtilizations writing into dst, growing it
-// if needed. The control tick calls this with a reused buffer so sampling
-// allocates nothing.
+// SampleUtilizationsInto writes each ECU's busy-time fraction since the
+// previous call (the paper's utilization monitor) into dst, growing it if
+// needed, and starts a new window. Windows with zero width read 0. The
+// control tick calls this with a reused buffer so sampling allocates
+// nothing.
 //
 //lint:certify noalloc,nopanic,deterministic control-tick utilization sampling; first-call sizing is the one audited allocation
 func (s *Scheduler) SampleUtilizationsInto(dst []units.Util) []units.Util {

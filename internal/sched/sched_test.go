@@ -51,7 +51,7 @@ func TestPeriodicCompletion(t *testing.T) {
 	})
 	s.Start()
 	eng.Run(simtime.At(1) - 1) // stop just before the release at t=1s
-	c := s.Counter(0)
+	c := s.counters[0]
 	if c.Released != 10 || c.Completed != 10 || c.Missed != 0 {
 		t.Fatalf("counters = %+v, want 10/10/0", c)
 	}
@@ -129,7 +129,7 @@ func TestOverloadMissesAndAborts(t *testing.T) {
 	})
 	s.Start()
 	eng.Run(simtime.At(1) - 1)
-	c := s.Counter(0)
+	c := s.counters[0]
 	if c.Missed == 0 || c.Completed != 0 {
 		t.Fatalf("counters = %+v, want all missed", c)
 	}
@@ -140,7 +140,7 @@ func TestOverloadMissesAndAborts(t *testing.T) {
 		t.Errorf("OnChain missed count %d != counter %d", missed, c.Missed)
 	}
 	// The CPU never idles under overload: utilization saturates at 1.
-	u := s.SampleUtilizations()
+	u := s.SampleUtilizationsInto(nil)
 	if u[0] < 0.999 {
 		t.Errorf("overloaded utilization = %v, want ~1", u[0])
 	}
@@ -168,13 +168,13 @@ func TestUtilizationMonitor(t *testing.T) {
 	s := New(eng, taskmodel.NewState(sys), Config{Exec: exectime.Nominal{}})
 	s.Start()
 	eng.Run(simtime.At(1))
-	u := s.SampleUtilizations()
+	u := s.SampleUtilizationsInto(nil)
 	if math.Abs(u[0].Float()-0.8) > 0.01 {
 		t.Errorf("u = %v, want ~0.8", u[0])
 	}
 	// Second window must account only its own interval.
 	eng.Run(simtime.At(2))
-	u = s.SampleUtilizations()
+	u = s.SampleUtilizationsInto(nil)
 	if math.Abs(u[0].Float()-0.8) > 0.01 {
 		t.Errorf("second window u = %v, want ~0.8", u[0])
 	}
@@ -187,12 +187,12 @@ func TestUtilizationPartialRunningJobCharged(t *testing.T) {
 	s := New(eng, taskmodel.NewState(sys), Config{Exec: exectime.Nominal{}})
 	s.Start()
 	eng.Run(simtime.At(0.5))
-	u := s.SampleUtilizations()
+	u := s.SampleUtilizationsInto(nil)
 	if math.Abs(u[0].Float()-1.0) > 1e-9 {
 		t.Errorf("first half window u = %v, want 1.0", u[0])
 	}
 	eng.Run(simtime.At(1) - 1)
-	u = s.SampleUtilizations()
+	u = s.SampleUtilizationsInto(nil)
 	// 100ms of remaining work in a ~500ms window.
 	if math.Abs(u[0].Float()-0.2) > 0.01 {
 		t.Errorf("second half window u = %v, want ~0.2", u[0])
@@ -324,7 +324,7 @@ func TestRateChangeTakesEffectNextRelease(t *testing.T) {
 	eng.Run(simtime.At(0.99))
 	// Releases: t=0, t=0.1 (old period still in flight), then every 50ms:
 	// 0.15, 0.20, ..., 0.95 → 1 + 1 + 17 = 19.
-	if got := s.Counter(0).Released; got != 19 {
+	if got := s.counters[0].Released; got != 19 {
 		t.Errorf("Released = %d, want 19", got)
 	}
 }
@@ -345,11 +345,11 @@ func TestRatioReducesDemand(t *testing.T) {
 	s := New(eng, st, Config{Exec: exectime.Nominal{}})
 	s.Start()
 	eng.Run(simtime.At(1) - 1)
-	c := s.Counter(0)
+	c := s.counters[0]
 	if c.Missed != 0 {
 		t.Errorf("misses = %d at reduced precision, want 0", c.Missed)
 	}
-	u := s.SampleUtilizations()
+	u := s.SampleUtilizationsInto(nil)
 	if math.Abs(u[0].Float()-0.75) > 0.01 {
 		t.Errorf("u = %v, want ~0.75", u[0])
 	}
@@ -422,7 +422,7 @@ func TestAccountingConservationProperty(t *testing.T) {
 		s.Start()
 		eng.Run(simtime.At(3))
 		for ti := range tasks {
-			c := s.Counter(taskmodel.TaskID(ti))
+			c := s.counters[taskmodel.TaskID(ti)]
 			// With end-to-end deadlines of n periods, up to n pipelined
 			// instances can be live at once.
 			live := c.Released - c.Completed - c.Missed
@@ -430,7 +430,7 @@ func TestAccountingConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, u := range s.SampleUtilizations() {
+		for _, u := range s.SampleUtilizationsInto(nil) {
 			if u < 0 || u > 1 {
 				return false
 			}
@@ -473,7 +473,7 @@ func TestSingleStageQueuesNoDeadlineEvents(t *testing.T) {
 	eng := simtime.NewEngine()
 	s := New(eng, taskmodel.NewState(sys), Config{Exec: exectime.NewNoise(exectime.Nominal{}, 0.3, 5)})
 	const samplers = 1
-	eng.Every(100*simtime.Millisecond, func(simtime.Time) { s.SampleUtilizations() })
+	eng.Every(100*simtime.Millisecond, func(simtime.Time) { s.SampleUtilizationsInto(nil) })
 	s.Start()
 	limit := len(sys.Tasks) + sys.NumECUs + samplers
 	for eng.Now() < simtime.At(5) && eng.Step() {
@@ -481,7 +481,7 @@ func TestSingleStageQueuesNoDeadlineEvents(t *testing.T) {
 			t.Fatalf("at %v: %d events pending, want <= %d (tasks + ECUs + samplers)", eng.Now(), p, limit)
 		}
 	}
-	if c := s.Counter(1); c.Missed == 0 || s.Counter(0).Completed == 0 {
-		t.Fatalf("counters %+v / %+v: want the overloaded task aborted and the fast task completing", c, s.Counter(0))
+	if c := s.counters[1]; c.Missed == 0 || s.counters[0].Completed == 0 {
+		t.Fatalf("counters %+v / %+v: want the overloaded task aborted and the fast task completing", c, s.counters[0])
 	}
 }

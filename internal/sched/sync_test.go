@@ -135,11 +135,11 @@ func TestLinkDelayConsumesDeadlineBudget(t *testing.T) {
 		return s
 	}
 	// 80 + 30 + 80 = 190 ms ≤ 200 ms: no misses.
-	if c := build(30 * simtime.Millisecond).Counter(0); c.Missed != 0 {
+	if c := build(30 * simtime.Millisecond).counters[0]; c.Missed != 0 {
 		t.Errorf("30ms delay: %d misses, want 0", c.Missed)
 	}
 	// 80 + 50 + 80 = 210 ms > 200 ms: every instance misses.
-	if c := build(50 * simtime.Millisecond).Counter(0); c.Completed != 0 || c.Missed == 0 {
+	if c := build(50 * simtime.Millisecond).counters[0]; c.Completed != 0 || c.Missed == 0 {
 		t.Errorf("50ms delay: counters %+v, want all missed", c)
 	}
 }
@@ -172,7 +172,7 @@ func TestWorkConservation(t *testing.T) {
 	s.Start()
 	horizon := 10.0
 	eng.Run(simtime.At(horizon))
-	u := s.SampleUtilizations()
+	u := s.SampleUtilizationsInto(nil)
 	busy := u[0].Float() * horizon
 
 	// Independently integrate demand: idle time observed = horizon − busy;
@@ -181,7 +181,7 @@ func TestWorkConservation(t *testing.T) {
 		t.Errorf("busy time %v over horizon %v implausible", busy, horizon)
 	}
 	// The counters resolve every chain except at most one live per task.
-	for ti, c := range s.Counters() {
+	for ti, c := range s.CountersInto(nil) {
 		live := c.Released - c.Completed - c.Missed
 		if live > uint64(len(sys.Tasks[ti].Subtasks)) {
 			t.Errorf("task %d: %d unresolved chains", ti, live)

@@ -190,6 +190,10 @@ func resolve(spec *RunSpec) (resolved, error) {
 	if spec.DurationS > 3600 {
 		return r, fmt.Errorf("duration_s = %v exceeds the 3600 s request cap", spec.DurationS)
 	}
+	duration := simtime.FromSeconds(spec.DurationS)
+	if duration <= 0 {
+		return r, fmt.Errorf("duration_s = %v rounds to 0 at the 1 µs simulation clock", spec.DurationS)
+	}
 	if spec.Noise.Spread < 0 || spec.Noise.Spread >= 1 {
 		return r, fmt.Errorf("noise.spread = %v, want [0, 1)", spec.Noise.Spread)
 	}
@@ -207,7 +211,7 @@ func resolve(spec *RunSpec) (resolved, error) {
 	}
 	r.sys = sys
 	r.mode = mode
-	r.duration = simtime.FromSeconds(spec.DurationS)
+	r.duration = duration
 	r.durationS = spec.DurationS
 	r.noise = spec.Noise
 	r.noiseOn = spec.Noise.Spread > 0

@@ -228,9 +228,10 @@ func TestSweepGolden(t *testing.T) {
 	})
 }
 
-// TestValidation covers the admission gate's 400s.
+// TestValidation covers the admission gate's 400s: each bad body is
+// rejected before it reaches a worker, so none counts as a run error.
 func TestValidation(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
 		name, path, body string
 	}{
@@ -240,6 +241,8 @@ func TestValidation(t *testing.T) {
 		{"unknown mode", "/v1/run", `{"workload":{"name":"testbed"},"mode":"nope","duration_s":0.1}`},
 		{"zero duration", "/v1/run", `{"workload":{"name":"testbed"}}`},
 		{"huge duration", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":1e9}`},
+		{"sub-microsecond duration", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":1e-7}`},
+		{"sweep sub-microsecond duration", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":4.9e-7,"noise":{"spread":0.1}},"count":2}`},
 		{"bad spread", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":1.5}}`},
 		{"bad trace", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"trace":"nope"}`},
 		{"synthetic too big", "/v1/run", `{"workload":{"name":"synthetic","ecus":100,"tasks":10},"duration_s":0.1}`},
@@ -254,6 +257,9 @@ func TestValidation(t *testing.T) {
 				t.Fatalf("status = %d, want 400; body %s", resp.StatusCode, body)
 			}
 		})
+	}
+	if n := s.metrics.runErrors.Load(); n != 0 {
+		t.Errorf("run_errors = %d after rejected bodies, want 0", n)
 	}
 }
 

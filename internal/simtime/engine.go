@@ -76,8 +76,8 @@ func (a heapEntry) less(b heapEntry) bool {
 // event's (time, band+sequence) key inline next to its slot index so sifts
 // compare entries without indexing the arena, and EventIDs carry
 // slot+generation so Cancel needs no map. After warm-up the engine performs
-// no heap allocations; ReferenceEngine retains the naive boxed
-// implementation the equivalence tests compare against.
+// no heap allocations. The test files retain ReferenceEngine, the naive
+// boxed implementation the equivalence tests compare against.
 type Engine struct {
 	now     Time
 	slots   []eventSlot

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet bench profile profile-layers perfbench-smoke loc ci
+.PHONY: all build test race lint fmt vet bench profile profile-layers perfbench-smoke fuzz-smoke loc ci
 
 all: build
 
@@ -116,6 +116,17 @@ perfbench-smoke:
 		XDG_CONFIG_HOME=$(PERFBENCH_BUILD)/config GOPATH=$(PERFBENCH_BUILD)/gopath \
 		GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod $(GO) test -short .
 
+# fuzz-smoke runs every native fuzz target — the three colfmt codec
+# targets and the inner MPC solver's — for a fixed number of inputs
+# (-fuzztime Nx, so the amount of work does not depend on machine speed) on
+# one worker. go test fuzzes one target per invocation, hence one line each.
+# A failing input is written under the package's testdata/fuzz/ for replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5000x -parallel 1 ./internal/trace/colfmt
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRoundTrip$$' -fuzztime 5000x -parallel 1 ./internal/trace/colfmt
+	$(GO) test -run '^$$' -fuzz '^FuzzReaderRobustness$$' -fuzztime 5000x -parallel 1 ./internal/trace/colfmt
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveNormal$$' -fuzztime 5000x -parallel 1 ./internal/eucon
+
 # loc prints the production Go line count per package directory and the
 # total: every .go file except _test.go files, skipping the directories
 # the go tool skips (testdata, vendor, _*, .*), so _perfbench is out too.
@@ -136,4 +147,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet lint build test race perfbench-smoke
+ci: fmt vet lint build test race fuzz-smoke perfbench-smoke

@@ -336,41 +336,113 @@ func BenchmarkSchedulerSteadyState(b *testing.B) {
 	b.ReportMetric(float64(released)/float64(b.N), "chains_per_op")
 }
 
-// BenchmarkBoxLSQ measures the constrained least-squares kernel at the
-// size the inner MPC uses on the Figure 2 workload (2-step control horizon
-// over 11 tasks), through the workspace path the MPC hot loop uses: the
-// normal equations are formed into preallocated buffers and solved in
-// place, so the steady state allocates nothing.
+// mpcProblem is one inner MPC solve as the controller posed it.
+type mpcProblem struct {
+	ata             *linalg.Matrix
+	atb, lo, hi, x0 []float64
+}
+
+// captureMPCProblems runs cfg and returns the problem of every inner solve.
+// A shadow eucon.Controller replays the run's own: before each tick it
+// takes the live state as the previous tick left it, applies the scenario
+// events since, records Problem for the tick's utilizations and steps on
+// them, which must land on the live controller's rates.
+func captureMPCProblems(b *testing.B, cfg core.RunConfig) []mpcProblem {
+	b.Helper()
+	var (
+		shadowSt *taskmodel.State
+		shadow   *eucon.Controller
+		last     simtime.Time
+		probs    []mpcProblem
+		fail     error
+	)
+	setup := cfg.Setup
+	cfg.Setup = func(st *taskmodel.State) {
+		if setup != nil {
+			setup(st)
+		}
+		shadowSt = st.Clone()
+	}
+	cfg.OnInnerTick = func(now simtime.Time, utils []units.Util, st *taskmodel.State) {
+		if fail != nil {
+			return
+		}
+		if shadow == nil {
+			if shadow, fail = eucon.New(shadowSt, cfg.Middleware.Eucon); fail != nil {
+				return
+			}
+		}
+		for _, ev := range cfg.Events {
+			if ev.At > last && ev.At <= now {
+				ev.Do(shadowSt)
+			}
+		}
+		last = now
+		var p mpcProblem
+		if p.ata, p.atb, p.lo, p.hi, p.x0, fail = shadow.Problem(utils); fail != nil {
+			return
+		}
+		probs = append(probs, p)
+		if _, fail = shadow.Step(utils); fail != nil {
+			return
+		}
+		for i, r := range shadowSt.Rates() {
+			if r != st.Rate(taskmodel.TaskID(i)) {
+				fail = fmt.Errorf("shadow controller diverged from the run at %v", now)
+				return
+			}
+		}
+		st.CloneInto(shadowSt)
+	}
+	if _, err := core.Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	if fail != nil {
+		b.Fatal(fail)
+	}
+	return probs
+}
+
+// BenchmarkBoxLSQ measures the inner MPC's constrained least-squares solve
+// on the problems real runs pose: every inner solve of the Figure 8 testbed
+// acceleration under AutoE2E (8 variables) and of the Figure 11 simulation
+// acceleration (22 variables), captured from the runs and solved in turn
+// through one workspace, warm start included. Each op copies the normal
+// equations back (the solver adds its ridge in place, and the controller
+// rebuilds them every period anyway) and solves; the steady state
+// allocates nothing.
 func BenchmarkBoxLSQ(b *testing.B) {
-	b.ReportAllocs()
-	rng := simtime.NewRand(1)
-	rows, cols := 24+22, 22
-	a := linalg.NewMatrix(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			a.Set(i, j, rng.Float64())
-		}
-	}
-	rhs := make([]float64, rows)
-	lo := make([]float64, cols)
-	hi := make([]float64, cols)
-	for i := range rhs {
-		rhs[i] = rng.Float64()
-	}
-	for j := range lo {
-		lo[j] = -1
-		hi[j] = 1
-	}
-	ata := linalg.NewMatrix(cols, cols)
-	atb := make([]float64, cols)
-	ws := linalg.NewBoxLSQWorkspace()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulATAInto(ata)
-		a.MulTVecInto(atb, rhs)
-		if _, err := ws.SolveNormal(ata, atb, lo, hi, nil, linalg.DefaultBoxLSQOptions()); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		cfg  core.RunConfig
+	}{
+		{"testbed_n=8", scenario.TestbedAcceleration(core.ModeAutoE2E, 1)},
+		{"fig11_n=22", scenario.SimAcceleration(core.ModeAutoE2E, 1)},
+	} {
+		// Captured once: the config's execution-time model carries its
+		// own random stream, so a second run would differ.
+		probs := captureMPCProblems(b, bc.cfg)
+		b.Run(bc.name, func(b *testing.B) {
+			n := probs[0].ata.Rows()
+			ata := linalg.NewMatrix(n, n)
+			ws := linalg.NewBoxLSQWorkspace()
+			factorizations := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := &probs[i%len(probs)]
+				for r := 0; r < n; r++ {
+					for c := 0; c < n; c++ {
+						ata.Set(r, c, p.ata.At(r, c))
+					}
+				}
+				if _, err := ws.SolveNormal(ata, p.atb, p.lo, p.hi, p.x0, linalg.DefaultBoxLSQOptions()); err != nil {
+					b.Fatal(err)
+				}
+				factorizations += ws.Status().Factorizations
+			}
+			b.ReportMetric(float64(factorizations)/float64(b.N), "factorizations_per_solve")
+		})
 	}
 }
 

@@ -52,7 +52,9 @@ func (m Mode) String() string {
 
 // Config assembles the middleware.
 type Config struct {
-	// Mode selects the comparison arm. Default ModeAutoE2E.
+	// Mode selects the comparison arm. The zero Mode is ModeOpen (no
+	// online adaptation), and withDefaults keeps it: a run that wants the
+	// paper's system must ask for ModeAutoE2E.
 	Mode Mode
 	// InnerPeriod is the inner-loop control period; it must span several
 	// task instances so the utilization monitor samples meaningfully
@@ -232,6 +234,15 @@ func (m *Middleware) Reset() {
 	m.innerCount = 0
 	m.started = false
 	m.err = nil
+}
+
+// solveStats reports the centralized inner MPC's solve totals, or zero when
+// the run has no such controller.
+func (m *Middleware) solveStats() eucon.SolveStats {
+	if c, ok := m.inner.(*eucon.Controller); ok {
+		return c.SolveStats()
+	}
+	return eucon.SolveStats{}
 }
 
 // middlewareTickEvent is the engine trampoline for the inner control tick.

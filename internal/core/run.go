@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/autoe2e/autoe2e/internal/eucon"
 	"github.com/autoe2e/autoe2e/internal/exectime"
 	"github.com/autoe2e/autoe2e/internal/parallel"
 	"github.com/autoe2e/autoe2e/internal/sched"
@@ -67,6 +68,10 @@ type RunResult struct {
 	Counters []sched.TaskCounter
 	// State is the final operating point.
 	State *taskmodel.State
+	// Solver totals the centralized inner MPC's solves over the run; it
+	// stays zero for the OPEN arm and the decentralized inner loop. A run
+	// that returns without error converged on every solve.
+	Solver eucon.SolveStats
 }
 
 // Clone returns an independent deep copy of the result, for callers that
@@ -86,6 +91,7 @@ func (r *RunResult) CloneInto(dst *RunResult) *RunResult {
 	dst.Trace = r.Trace.CloneInto(dst.Trace)
 	dst.Counters = append(dst.Counters[:0], r.Counters...)
 	dst.State = r.State.CloneInto(dst.State)
+	dst.Solver = r.Solver
 	return dst
 }
 

@@ -189,6 +189,10 @@ func (s *Session) RunPartial(cfg RunConfig, until simtime.Time) error {
 // clock). Setup and Attach are prefix-time concerns and are ignored;
 // System, if set, must match the session's, and so must Middleware, if
 // non-zero, once normalized: the controllers are part of the live state.
+// An explicit Config{Mode: ModeOpen} is the zero Config, because ModeOpen
+// is the zero Mode, so it too means "continue": on an EUCON or AutoE2E
+// session it keeps the live controllers running rather than switching
+// them off.
 // After a Restore, the continuation's random streams are rewound to the
 // checkpointed states, so the fork consumes the exact sample sequences the
 // replayed run would.
@@ -255,6 +259,7 @@ func (s *Session) Resume(cfg RunConfig) (*RunResult, error) {
 	s.res.Trace = s.rec
 	s.res.State = s.state
 	s.res.Counters = s.sch.CountersInto(s.res.Counters)
+	s.res.Solver = s.mw.solveStats()
 	return &s.res, nil
 }
 
@@ -335,6 +340,7 @@ func (s *Session) execute(cfg RunConfig) (*RunResult, error) {
 	s.res.Trace = s.rec
 	s.res.State = s.state
 	s.res.Counters = s.sch.CountersInto(s.res.Counters) //lint:allow hotpathalloc first-run sizing; warm runs reuse the buffer
+	s.res.Solver = s.mw.solveStats()
 	return &s.res, nil
 }
 

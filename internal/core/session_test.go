@@ -268,6 +268,84 @@ func TestResumeMiddlewareMustMatch(t *testing.T) {
 	}
 }
 
+// TestZeroModeIsOpen pins two consequences of ModeOpen being the zero
+// Mode: a zero Config runs the OPEN arm (no inner solve, rates untouched),
+// and Resume reads an explicit Config{Mode: ModeOpen} as "continue", so an
+// AutoE2E session keeps its controllers and stays byte-identical to a
+// fresh AutoE2E run.
+func TestZeroModeIsOpen(t *testing.T) {
+	if got := (Config{}).withDefaults().Mode; got != ModeOpen {
+		t.Fatalf("zero Config normalizes to Mode %v, want OPEN", got)
+	}
+	sys := testSystem(t)
+	res, err := Run(RunConfig{System: sys, Exec: exectime.Nominal{}, Duration: 12 * simtime.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Solver.Solves != 0 {
+		t.Errorf("zero Config ran %d inner solves, want none (OPEN)", res.Solver.Solves)
+	}
+	for i := range sys.Tasks {
+		if got, want := res.State.Rate(taskmodel.TaskID(i)), taskmodel.NewState(sys).Rate(taskmodel.TaskID(i)); got != want {
+			t.Errorf("task %d rate %v after an OPEN run, want untouched %v", i, got, want)
+		}
+	}
+
+	var exec exectime.Model
+	mk := func(mw Config) RunConfig {
+		return RunConfig{System: sys, Exec: exec, Middleware: mw, Duration: 12 * simtime.Second}
+	}
+	exec = exectime.NewNoise(exectime.Nominal{}, 0.3, 5)
+	fresh, err := Run(mk(Config{Mode: ModeAutoE2E}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec = exectime.NewNoise(exectime.Nominal{}, 0.3, 5)
+	s := NewSession()
+	if err := s.RunPartial(mk(Config{Mode: ModeAutoE2E}), simtime.At(4.5)); err != nil {
+		t.Fatal(err)
+	}
+	cont, err := s.Resume(mk(Config{Mode: ModeOpen}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sessionCSV(t, cont), sessionCSV(t, fresh)) {
+		t.Fatal("Resume with Config{Mode: ModeOpen} did not continue the AutoE2E controllers")
+	}
+	if cont.Solver != fresh.Solver || fresh.Solver.Solves == 0 {
+		t.Fatalf("continued solver totals %+v, fresh run %+v", cont.Solver, fresh.Solver)
+	}
+}
+
+// TestSessionWarmRunSolverTotals: the inner solver totals are per run. A
+// warm rerun on one session (same System, so the controllers are reset in
+// place, not rebuilt) reports exactly a fresh run's totals.
+func TestSessionWarmRunSolverTotals(t *testing.T) {
+	cfg := RunConfig{
+		System:     testSystem(t),
+		Exec:       exectime.Nominal{},
+		Middleware: Config{Mode: ModeAutoE2E},
+		Duration:   12 * simtime.Second,
+	}
+	fresh, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Solver.Solves != 12 || fresh.Solver.Factorizations < fresh.Solver.Solves {
+		t.Fatalf("fresh run solver totals %+v, want 12 solves of at least one factorization", fresh.Solver)
+	}
+	s := NewSession()
+	for run := 0; run < 3; run++ {
+		res, err := s.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Solver != fresh.Solver {
+			t.Fatalf("session run %d solver totals %+v, fresh run %+v", run, res.Solver, fresh.Solver)
+		}
+	}
+}
+
 // TestRunStreamMatchesRun pins the streaming batch runner to the fresh
 // runner: same results in input order for every worker count, with the
 // callback observing indices strictly in order.

@@ -28,11 +28,14 @@
 // P·n tracking rows and M·m control-penalty rows, but its normal equations
 // have closed-form block structure (see normalEquations), so Step never
 // materializes the stacked matrix: it forms AᵀA and Aᵀb directly in
-// O(n·m² + M²·m²) and solves with a persistent linalg.BoxLSQWorkspace that
-// warm-starts both the projected-gradient iteration (from the previous
-// period's solution) and the spectral-norm power iteration (from the
-// previous period's eigenvector). All scratch lives on the Controller;
-// steady-state Step performs zero heap allocations.
+// O(n·m² + M²·m²) and solves it exactly with a persistent
+// linalg.BoxLSQWorkspace: an active-set method on a Cholesky factor of the
+// free block, warm-started from the bound pattern of the previous period's
+// solution. Consecutive periods mostly share that pattern, so a typical
+// solve is one factorization and a multiplier check. The previous solution
+// is the only state carried from one solve to the next; the workspace is
+// scratch. All scratch lives on the Controller; steady-state Step performs
+// zero heap allocations, and SolveStats totals the solver's work.
 //
 // The test files retain Reference, the allocation-heavy, obviously-correct
 // implementation of the same controller; the golden-equivalence tests pin
@@ -142,27 +145,45 @@ type Controller struct {
 	wb []float64 // n: w_j·headroom_j
 	//lint:sticky box bounds, fully rewritten by Step before each solve
 	lo, hi []float64 // M·m box bounds
-	//lint:sticky PGD warm start, guarded by warm (Reset clears the flag, not the buffer)
-	prevX []float64 // previous full solution, PGD warm start
+	//lint:sticky active-set warm start, guarded by warm (Reset clears the flag, not the buffer)
+	prevX []float64 // previous full solution, active-set warm start
 	warm  bool      // prevX holds a valid previous solution
+	//lint:sticky per-solve scratch, rewritten by every SolveNormal before it is read
 	ws    *linalg.BoxLSQWorkspace
+	stats SolveStats
 
 	// res holds the Result buffers handed back by Step; see Result for the
 	// ownership rule.
 	res Result
 }
 
+// SolveStats totals the inner solver's work since the controller was built
+// or last Reset, one count per Step. Every Step that returns without error
+// solved its MPC to convergence, so there is no failure count: a solve that
+// does not converge fails the Step.
+type SolveStats struct {
+	// Solves counts MPC solves.
+	Solves int
+	// Factorizations counts Cholesky factorizations of a free block.
+	Factorizations int
+	// MaxFactorizations is the most factorizations one solve needed.
+	MaxFactorizations int
+}
+
 // Reset clears all cross-period state — the previous move Δr(k−1) of the
-// control-change penalty, the warm-start solution, and the solver's
-// carried eigenvector — so the next Step behaves exactly like the first
-// Step of a freshly-built controller on the current State.
+// control-change penalty, the warm-start solution and the solve totals —
+// so the next Step behaves exactly like the first Step of a freshly-built
+// controller on the current State.
 func (c *Controller) Reset() {
 	for i := range c.prevDelta {
 		c.prevDelta[i] = 0
 	}
 	c.warm = false
-	c.ws.Reset()
+	c.stats = SolveStats{}
 }
+
+// SolveStats reports the solver totals since New or the last Reset.
+func (c *Controller) SolveStats() SolveStats { return c.stats }
 
 // New builds a controller operating on the given mutable state. It returns
 // an error on invalid configuration.
@@ -360,19 +381,12 @@ func normalEquations(c *Controller, utils []units.Util, rho float64) {
 	}
 }
 
-// Step runs one control period with the measured utilizations and applies
-// the resulting rates. len(utils) must equal the number of ECUs.
-//
-// The returned Result's slices are reused by the next Step; see Result.
-//
-//lint:certify noalloc,nopanic,deterministic inner MPC period: warm-started projected-gradient solve over preallocated normal equations
-func (c *Controller) Step(utils []units.Util) (Result, error) {
+// formProblem forms the period's MPC problem in the controller's scratch —
+// normal equations c.ata/c.atb and box c.lo/c.hi — and returns the warm
+// start, nil before the first solve.
+func (c *Controller) formProblem(utils []units.Util) []float64 {
 	sys := c.state.System()
-	n, m := sys.NumECUs, len(sys.Tasks)
-	if len(utils) != n {
-		return Result{}, fmt.Errorf("eucon: got %d utilizations, want %d", len(utils), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid run
-	}
-	mh := c.cfg.ControlHorizon
+	m, mh := len(sys.Tasks), c.cfg.ControlHorizon
 
 	loadMatrixInto(c.f, c.state)
 	rho := controlPenaltyRho(c.f, c.cfg.ControlPenalty)
@@ -393,19 +407,55 @@ func (c *Controller) Step(utils []units.Util) (Result, error) {
 		}
 	}
 
-	// Warm start from the previous period's plan: the receding-horizon
-	// solutions of consecutive periods are close, so projected gradient
-	// re-converges in a handful of iterations.
-	var x0 []float64
-	if c.warm {
-		x0 = c.prevX
+	// Warm start from the previous period's plan: consecutive
+	// receding-horizon solutions mostly hold the same rates at their
+	// bounds, so the active set usually starts out right.
+	if !c.warm {
+		return nil
 	}
+	return c.prevX
+}
+
+// Problem returns, as fresh copies, the box-constrained least-squares
+// problem the next Step would solve for utils: the normal equations
+// without the solver's ridge, the box, and the warm start (nil before the
+// first Step). It changes no state. Tests and benchmarks use it to capture
+// the solver's real inputs.
+func (c *Controller) Problem(utils []units.Util) (ata *linalg.Matrix, atb, lo, hi, x0 []float64, err error) {
+	if len(utils) != c.state.System().NumECUs {
+		return nil, nil, nil, nil, nil, fmt.Errorf("eucon: got %d utilizations, want %d", len(utils), c.state.System().NumECUs)
+	}
+	if w := c.formProblem(utils); w != nil {
+		x0 = linalg.Clone(w)
+	}
+	return c.ata.Clone(), linalg.Clone(c.atb), linalg.Clone(c.lo), linalg.Clone(c.hi), x0, nil
+}
+
+// Step runs one control period with the measured utilizations and applies
+// the resulting rates. len(utils) must equal the number of ECUs.
+//
+// The returned Result's slices are reused by the next Step; see Result.
+//
+//lint:certify noalloc,nopanic,deterministic inner MPC period: warm-started active-set solve over preallocated normal equations
+func (c *Controller) Step(utils []units.Util) (Result, error) {
+	sys := c.state.System()
+	n, m := sys.NumECUs, len(sys.Tasks)
+	if len(utils) != n {
+		return Result{}, fmt.Errorf("eucon: got %d utilizations, want %d", len(utils), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid run
+	}
+	x0 := c.formProblem(utils)
 	x, err := c.ws.SolveNormal(c.ata, c.atb, c.lo, c.hi, x0, linalg.DefaultBoxLSQOptions())
 	if err != nil {
 		return Result{}, fmt.Errorf("eucon: MPC solve: %w", err)
 	}
 	copy(c.prevX, x)
 	c.warm = true
+	st := c.ws.Status()
+	c.stats.Solves++
+	c.stats.Factorizations += st.Factorizations
+	if st.Factorizations > c.stats.MaxFactorizations {
+		c.stats.MaxFactorizations = st.Factorizations
+	}
 
 	res := c.res
 	for ti := 0; ti < m; ti++ {

@@ -13,8 +13,8 @@ import (
 // the centralized MPC. It computes exactly the formulas documented on
 // normalEquations — in the same per-entry accumulation order — but with
 // fresh allocations on every call and a straightforward inline solver, and
-// it threads the same warm-start state (previous move, previous solution,
-// power-iteration eigenvector) from one period to the next.
+// it threads the same warm-start state (previous move, previous solution)
+// from one period to the next.
 //
 // Purpose: the golden-equivalence tests drive Controller and Reference
 // through the paper's closed-loop scenarios and require bit-identical
@@ -31,8 +31,6 @@ type Reference struct {
 	prevDelta []float64
 	prevX     []float64
 	warm      bool
-	eig       []float64
-	haveEig   bool
 }
 
 // NewReference builds the naive controller on its own operating point.
@@ -189,11 +187,20 @@ func (c *Reference) Step(utils []units.Util) (Result, error) {
 	return res, nil
 }
 
-// solveNaive is accelerated projected gradient (FISTA with gradient
-// restart) on the normal equations, matching BoxLSQWorkspace.SolveNormal
-// operation for operation but with fresh buffers each call. The
-// power-iteration eigenvector is the one piece of threaded state
-// (c.eig / c.haveEig), exactly as the workspace carries it.
+// Bound states of the naive active-set solve.
+const (
+	naiveFree = iota
+	naiveLo
+	naiveHi
+	naiveFixed
+)
+
+// solveNaive is the active-set method of BoxLSQWorkspace.SolveNormal in
+// naive form: fresh slices on every step, the free block copied out into
+// its own matrix before it is factored, and the multiplier test on a full
+// gradient H·x. The arithmetic — every summation order, the ratio test, the
+// clamped step, the undone release — is the workspace's, operation for
+// operation, so the two agree bit for bit.
 func (c *Reference) solveNaive(ata *linalg.Matrix, atb, lo, hi, x0 []float64, opts linalg.BoxLSQOptions) ([]float64, error) {
 	nn := ata.Cols()
 	for i := 0; i < nn; i++ {
@@ -207,16 +214,7 @@ func (c *Reference) solveNaive(ata *linalg.Matrix, atb, lo, hi, x0 []float64, op
 		}
 	}
 
-	lip := c.spectralNormNaive(ata)
 	x := make([]float64, nn)
-	if lip <= 0 {
-		for i := range x {
-			x[i] = linalg.Clamp(0, lo[i], hi[i])
-		}
-		return x, nil
-	}
-	step := 1 / lip
-
 	if x0 != nil {
 		copy(x, x0)
 	} else {
@@ -225,81 +223,181 @@ func (c *Reference) solveNaive(ata *linalg.Matrix, atb, lo, hi, x0 []float64, op
 		}
 	}
 	linalg.ClampVec(x, lo, hi)
-
-	xn := make([]float64, nn)
-	y := make([]float64, nn)
-	copy(y, x)
-	t := 1.0
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		grad := ata.MulVec(y)
-		maxMove := 0.0
-		restart := 0.0
-		for i := 0; i < nn; i++ {
-			g := grad[i] - atb[i]
-			next := linalg.Clamp(y[i]-step*g, lo[i], hi[i])
-			if d := math.Abs(next - y[i]); d > maxMove {
-				maxMove = d
+	state := make([]int, nn)
+	held := make([]bool, nn)
+	for i := 0; i < nn; i++ {
+		switch {
+		case lo[i] == hi[i]:
+			x[i], state[i] = lo[i], naiveFixed
+		case ata.At(i, i) == 0:
+			state[i] = naiveFixed
+			switch {
+			case atb[i] > 0:
+				x[i] = hi[i]
+			case atb[i] < 0:
+				x[i] = lo[i]
+			default:
+				x[i] = linalg.Clamp(0, lo[i], hi[i])
 			}
-			restart += (y[i] - next) * (next - x[i])
-			xn[i] = next
-		}
-		if restart > 0 {
-			t = 1
-			copy(y, xn)
-		} else {
-			tn := (1 + math.Sqrt(1+4*t*t)) / 2
-			beta := (t - 1) / tn
-			for i := 0; i < nn; i++ {
-				y[i] = xn[i] + beta*(xn[i]-x[i])
-			}
-			t = tn
-		}
-		copy(x, xn)
-		if maxMove <= opts.Tol {
-			break
+		case x[i] == lo[i]:
+			state[i] = naiveLo
+		case x[i] == hi[i]:
+			state[i] = naiveHi
 		}
 	}
-	return x, nil
+
+	changes := 0
+	change := func() error {
+		changes++
+		if changes > opts.MaxSetChanges {
+			return fmt.Errorf("eucon: reference solve did not converge within %d set changes", opts.MaxSetChanges)
+		}
+		return nil
+	}
+	released, releasedFrom := -1, naiveFree
+	for {
+		var free []int
+		for i, st := range state {
+			if st == naiveFree {
+				free = append(free, i)
+			}
+		}
+		z, err := solveFreeNaive(ata, atb, x, state, free)
+		if err != nil {
+			return nil, err
+		}
+		if released >= 0 && ((releasedFrom == naiveLo && z[released] <= lo[released]) ||
+			(releasedFrom == naiveHi && z[released] >= hi[released])) {
+			state[released] = releasedFrom
+			held[released] = true
+		} else {
+			if released >= 0 {
+				held = make([]bool, nn)
+			}
+			block, alpha := -1, 1.0
+			for _, i := range free {
+				var a float64
+				if z[i] < lo[i] {
+					a = (lo[i] - x[i]) / (z[i] - x[i])
+				} else if z[i] > hi[i] {
+					a = (hi[i] - x[i]) / (z[i] - x[i])
+				} else {
+					continue
+				}
+				if block < 0 || a < alpha {
+					block, alpha = i, a
+				}
+			}
+			if block >= 0 {
+				for _, i := range free {
+					x[i] = linalg.Clamp(x[i]+alpha*(z[i]-x[i]), lo[i], hi[i])
+				}
+				if z[block] < lo[block] {
+					x[block], state[block] = lo[block], naiveLo
+				} else {
+					x[block], state[block] = hi[block], naiveHi
+				}
+				released = -1
+				if err := change(); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			for _, i := range free {
+				x[i] = z[i]
+			}
+		}
+
+		grad := ata.MulVec(x)
+		worst, k := 0.0, -1
+		for i, st := range state {
+			if (st != naiveLo && st != naiveHi) || held[i] {
+				continue
+			}
+			v := grad[i] - atb[i]
+			if st == naiveLo {
+				v = -v
+			}
+			if v > worst {
+				worst, k = v, i
+			}
+		}
+		if k < 0 {
+			return x, nil
+		}
+		released, releasedFrom = k, state[k]
+		state[k] = naiveFree
+		if err := change(); err != nil {
+			return nil, err
+		}
+	}
 }
 
-// spectralNormNaive is the power iteration of BoxLSQWorkspace.spectralNorm
-// with fresh scratch, threading the eigenvector estimate through c.eig.
-func (c *Reference) spectralNormNaive(m *linalg.Matrix) float64 {
-	n := m.Rows()
-	if len(c.eig) != n {
-		c.eig = make([]float64, n)
-		c.haveEig = false
+// solveFreeNaive returns a fresh vector whose free entries minimize the
+// quadratic over the free variables with every other variable held at x:
+// H_FF·z_F = b_F − H_FB·x_B, by a Cholesky factor of a copy of H_FF.
+func solveFreeNaive(h *linalg.Matrix, b, x []float64, state, free []int) ([]float64, error) {
+	z := make([]float64, len(x))
+	k := len(free)
+	if k == 0 {
+		return z, nil
 	}
-	v := make([]float64, n)
-	if c.haveEig {
-		copy(v, c.eig)
-	} else {
-		inv := 1 / math.Sqrt(float64(n))
-		for i := range v {
-			v[i] = inv
+	rhs := make([]float64, k)
+	for r, i := range free {
+		s := b[i]
+		for j := range x {
+			if state[j] != naiveFree {
+				s -= h.At(i, j) * x[j]
+			}
+		}
+		rhs[r] = s
+	}
+	hff := linalg.NewMatrix(k, k)
+	for r, i := range free {
+		for c, j := range free {
+			hff.Set(r, c, h.At(i, j))
 		}
 	}
-	lambda := 0.0
-	for iter := 0; iter < 100; iter++ {
-		w := m.MulVec(v)
-		norm := linalg.Norm2(w)
-		if norm == 0 {
-			return 0
+	l := linalg.NewMatrix(k, k)
+	for c := 0; c < k; c++ {
+		d := hff.At(c, c)
+		for p := 0; p < c; p++ {
+			d -= l.At(c, p) * l.At(c, p)
 		}
-		for i := range w {
-			w[i] /= norm
+		if !(d > 0) {
+			return nil, fmt.Errorf("eucon: reference solve free block not positive definite (pivot %g)", d)
 		}
-		t := m.MulVec(w)
-		newLambda := linalg.Dot(w, t)
-		copy(v, w)
-		if math.Abs(newLambda-lambda) <= 1e-12*math.Max(1, math.Abs(newLambda)) {
-			copy(c.eig, v)
-			c.haveEig = true
-			return newLambda
+		d = math.Sqrt(d)
+		l.Set(c, c, d)
+		for r := c + 1; r < k; r++ {
+			s := hff.At(r, c)
+			for p := 0; p < c; p++ {
+				s -= l.At(r, p) * l.At(c, p)
+			}
+			l.Set(r, c, s/d)
 		}
-		lambda = newLambda
 	}
-	copy(c.eig, v)
-	c.haveEig = true
-	return lambda
+	y := make([]float64, k)
+	for r := 0; r < k; r++ {
+		s := rhs[r]
+		for p := 0; p < r; p++ {
+			s -= l.At(r, p) * y[p]
+		}
+		y[r] = s / l.At(r, r)
+	}
+	zf := make([]float64, k)
+	for r := k - 1; r >= 0; r-- {
+		s := y[r]
+		for p := r + 1; p < k; p++ {
+			s -= l.At(p, r) * zf[p]
+		}
+		zf[r] = s / l.At(r, r)
+	}
+	for r, i := range free {
+		if math.IsNaN(zf[r]) || math.IsInf(zf[r], 0) {
+			return nil, fmt.Errorf("eucon: reference solve free-block solution not finite at coordinate %d", i)
+		}
+		z[i] = zf[r]
+	}
+	return z, nil
 }

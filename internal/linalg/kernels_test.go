@@ -218,7 +218,7 @@ func TestSolveNormalDegenerateZeroMatrix(t *testing.T) {
 	atb := make([]float64, n)
 	lo := []float64{-1, 0.5, -2}
 	hi := []float64{1, 2, -0.5}
-	x, err := NewBoxLSQWorkspace().SolveNormal(ata, atb, lo, hi, nil, BoxLSQOptions{MaxIter: 100, Tol: 1e-10})
+	x, err := NewBoxLSQWorkspace().SolveNormal(ata, atb, lo, hi, nil, BoxLSQOptions{MaxSetChanges: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

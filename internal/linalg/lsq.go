@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -26,97 +27,123 @@ func LeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error) {
 	return SolveLU(ata, atb)
 }
 
-// BoxLSQOptions tunes the projected-gradient solver.
+// BoxLSQOptions tunes the box-constrained solver.
 type BoxLSQOptions struct {
-	// MaxIter bounds the number of gradient steps. The MPC problems here
-	// are tiny and strongly convex after ridge regularization, so a few
-	// hundred iterations reach machine-level stationarity.
-	MaxIter int
-	// Tol is the convergence threshold on the projected-gradient
-	// infinity norm.
-	Tol float64
+	// MaxSetChanges caps the active-set changes (a bound fixed by a
+	// blocked step, or released by the multiplier test) one solve may
+	// make. The controller problems here converge in a handful; reaching
+	// the cap means the solve is cycling and is reported as an error.
+	MaxSetChanges int
 	// Ridge adds Tikhonov regularization, improving conditioning.
 	Ridge float64
-	// Plain selects the original fixed-step projected-gradient iteration
-	// instead of the accelerated (FISTA + adaptive restart) default. The
-	// plain method converges far more slowly; it is retained for callers
-	// whose closed-loop tuning depends on its heavily damped approximate
-	// solutions when the iteration budget runs out (the LTV tracking MPC).
-	Plain bool
 }
 
 // DefaultBoxLSQOptions are sensible defaults for the controller problems in
 // this repository.
 func DefaultBoxLSQOptions() BoxLSQOptions {
-	return BoxLSQOptions{MaxIter: 2000, Tol: 1e-10, Ridge: 1e-9}
+	return BoxLSQOptions{MaxSetChanges: 1000, Ridge: 1e-9}
 }
+
+// SolveStatus reports the work one SolveNormal did. A solve that returns
+// without error has Converged set: its point satisfies the KKT conditions
+// with every multiplier of the right sign as computed.
+type SolveStatus struct {
+	// Factorizations counts Cholesky factorizations of a free block.
+	Factorizations int
+	// SetChanges counts bounds fixed by a blocked step or released by the
+	// multiplier test.
+	SetChanges int
+	// Converged reports that the multiplier test passed.
+	Converged bool
+}
+
+// Failures SolveNormal reports instead of returning an approximate point.
+var (
+	ErrNotConverged        = errors.New("linalg: box-constrained solve did not converge within MaxSetChanges active-set changes")
+	ErrNotPositiveDefinite = errors.New("linalg: box-constrained solve met a free block that is not positive definite")
+	ErrNotFinite           = errors.New("linalg: box-constrained solve produced a non-finite point")
+)
+
+// Per-variable bound state of the active-set solver.
+const (
+	varFree  int8 = iota // solved for on the free block
+	varLo                // held at its lower bound
+	varHi                // held at its upper bound
+	varFixed             // never moves: a degenerate box, or a coordinate H does not couple
+)
 
 // BoxLSQWorkspace holds every buffer the box-constrained solver needs, so
 // that repeated solves of same-sized problems perform zero heap
-// allocations. It also carries warm-start state across solves: the
-// power-iteration eigenvector estimate for the spectral norm of aᵀa. A
-// workspace is owned by exactly one solver loop (it is not safe for
-// concurrent use); the slice returned by SolveNormal aliases the workspace
-// and is valid only until the next solve.
+// allocations. It carries no state from one solve to the next except the
+// last solve's Status. A workspace is owned by exactly one solver loop (it
+// is not safe for concurrent use); the slice returned by SolveNormal
+// aliases the workspace and is valid only until the next solve.
 type BoxLSQWorkspace struct {
-	//lint:sticky sized by ensure, fully overwritten by each solve before any read
-	x []float64 // solution buffer, returned to the caller
-	//lint:sticky sized by ensure, fully overwritten by each solve before any read
-	xn []float64 // next iterate (projected gradient step from y)
-	//lint:sticky sized by ensure, fully overwritten by each solve before any read
-	y []float64 // extrapolated point the gradient is evaluated at
-	//lint:sticky sized by ensure, fully overwritten by each solve before any read
-	grad []float64 // gradient buffer
-	//lint:sticky warm-start state, guarded by haveEig (Reset clears the flag, not the buffer)
-	eig []float64 // power-iteration eigenvector, warm-started across solves
-	//lint:sticky sized by ensure, fully overwritten by spectralNorm before any read
-	pw []float64 // power-iteration scratch (m·v)
-	//lint:sticky sized by ensure, fully overwritten by spectralNorm before any read
-	pt []float64 // power-iteration scratch (m·w)
+	x     []float64 // current iterate, returned to the caller
+	z     []float64 // minimizer over the free block, bound variables held
+	rhs   []float64 // free-block right-hand side, solved in place
+	grad  []float64 // H·x, for the multiplier test
+	l     []float64 // Cholesky factor of the free block, row-major k×k
+	free  []int     // free variable indices, ascending
+	state []int8    // bound state per variable
+	held  []bool    // bounds whose release was undone, until a release is accepted
 
-	// haveEig records that eig holds a converged estimate from a previous
-	// solve of the same dimension, to be reused as the starting vector.
-	haveEig bool
+	status SolveStatus
 }
 
 // NewBoxLSQWorkspace returns an empty workspace; buffers grow on first use
 // and are reused afterwards.
 func NewBoxLSQWorkspace() *BoxLSQWorkspace { return &BoxLSQWorkspace{} }
 
-// Reset discards the carried warm-start state (the power-iteration
-// eigenvector) while keeping the buffers, so the next solve behaves
-// exactly like the first solve of a fresh workspace.
-func (ws *BoxLSQWorkspace) Reset() { ws.haveEig = false }
+// Status reports what the last SolveNormal did.
+func (ws *BoxLSQWorkspace) Status() SolveStatus { return ws.status }
 
-// ensure sizes every buffer for an n-dimensional solve. Changing dimension
-// discards the warm-start state (it belongs to a different problem).
+// ensure sizes every buffer for an n-dimensional solve.
 func (ws *BoxLSQWorkspace) ensure(n int) {
 	if len(ws.x) != n {
-		//lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
-		ws.x = make([]float64, n)
-		ws.xn = make([]float64, n)   //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
-		ws.y = make([]float64, n)    //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
-		ws.grad = make([]float64, n) //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
-		ws.eig = make([]float64, n)  //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
-		ws.pw = make([]float64, n)   //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
-		ws.pt = make([]float64, n)   //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
-		ws.haveEig = false
+		buf := make([]float64, 4*n+n*n) //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
+		ws.x, ws.z, ws.rhs, ws.grad, ws.l = buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n], buf[4*n:]
+		ws.free = make([]int, n)   //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
+		ws.state = make([]int8, n) //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
+		ws.held = make([]bool, n)  //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
 	}
 }
 
-// SolveNormal solves min_x ½·xᵀ(ata)x − atbᵀx subject to lo ≤ x ≤ hi — the
-// box-constrained least-squares problem expressed directly on its normal
-// equations ata = aᵀa, atb = aᵀb. Callers that know the block structure of
-// their problem build ata/atb in O(cols²) and skip materializing the
-// stacked matrix entirely.
+// SolveNormal solves min_x ½·xᵀHx − bᵀx subject to lo ≤ x ≤ hi, with
+// H = ata + opts.Ridge·I — the box-constrained least-squares problem
+// expressed directly on its normal equations ata = aᵀa, atb = aᵀb. Callers
+// that know the block structure of their problem build ata/atb in
+// O(cols²) and skip materializing the stacked matrix entirely.
+//
+// The method is a primal active set (bounded-variable least squares, Stark
+// & Parker 1995, after Lawson & Hanson's NNLS). Every variable is free or
+// held at a bound. Each step factors the free block of H by Cholesky and
+// solves for the free variables with the held ones fixed. If that point
+// leaves the box, the step stops at the first bound it meets and holds
+// that variable there; otherwise the point is accepted and the held
+// variable whose multiplier has the worst sign is released. A release that
+// would move its variable straight back out of the box is undone, and that
+// bound stays out of the multiplier test until another release is
+// accepted: this is how NNLS avoids cycling on rounding-level multipliers.
+// The solve ends when no multiplier has the wrong sign: the KKT conditions
+// hold to rounding, with no tolerance to tune. Coordinates with lo == hi,
+// and coordinates H does not couple at all (a zero diagonal in a positive
+// semi-definite H), are fixed at their optimum and never enter the free
+// block.
 //
 // opts.Ridge is added to the diagonal of ata in place (the caller's matrix
-// is mutated). x0 is the warm start; pass nil to start from the box
-// midpoint. The returned slice is owned by the workspace and valid until
-// the next solve; callers that retain it must copy.
+// is mutated). x0 is the warm start: clamped into the box, its pattern of
+// coordinates at a bound is the starting active set; pass nil to start
+// from the box midpoint with every variable free. The returned slice is
+// owned by the workspace and valid until the next solve; callers that
+// retain it must copy.
 //
-// The returned point satisfies the KKT conditions of the box-constrained
-// problem to within opts.Tol, exactly as BoxLSQ does.
+// The solve fails, rather than returning an approximate point, on a
+// non-finite entry of ata, atb, lo or hi (ErrNotFinite), when a free block
+// is not numerically positive definite (ErrNotPositiveDefinite) or its
+// solution is not finite (ErrNotFinite), or after opts.MaxSetChanges set
+// changes (ErrNotConverged). A non-finite x0 entry starts at the lower
+// bound.
 func (ws *BoxLSQWorkspace) SolveNormal(ata *Matrix, atb, lo, hi, x0 []float64, opts BoxLSQOptions) ([]float64, error) {
 	n := ata.Cols()
 	if ata.Rows() != n {
@@ -126,11 +153,22 @@ func (ws *BoxLSQWorkspace) SolveNormal(ata *Matrix, atb, lo, hi, x0 []float64, o
 		return nil, fmt.Errorf("linalg: SolveNormal vector length %d/%d/%d != %d", len(atb), len(lo), len(hi), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid solve
 	}
 	for i := 0; i < n; i++ {
-		if lo[i] > hi[i] {
+		if !(lo[i] <= hi[i]) {
 			return nil, fmt.Errorf("linalg: SolveNormal empty box at coordinate %d: [%g, %g]", i, lo[i], hi[i]) //lint:allow hotpathalloc dimension-error path, never taken in a valid solve
 		}
+		if !finite(atb[i]) || !finite(lo[i]) || !finite(hi[i]) {
+			return nil, ErrNotFinite
+		}
+		for j := 0; j < n; j++ {
+			if !finite(ata.At(i, j)) {
+				return nil, ErrNotFinite
+			}
+		}
 	}
-	if opts.MaxIter <= 0 {
+	if x0 != nil && len(x0) != n {
+		return nil, fmt.Errorf("linalg: SolveNormal x0 length %d != %d", len(x0), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid solve
+	}
+	if opts.MaxSetChanges <= 0 {
 		opts = DefaultBoxLSQOptions()
 	}
 	ws.ensure(n) //lint:allow hotpathalloc dimension-change resize; steady state hits the sized path
@@ -139,22 +177,10 @@ func (ws *BoxLSQWorkspace) SolveNormal(ata *Matrix, atb, lo, hi, x0 []float64, o
 			ata.Add(i, i, opts.Ridge)
 		}
 	}
+	ws.status = SolveStatus{}
 
-	lip := ws.spectralNorm(ata)
-	x := ws.x
-	if lip <= 0 {
-		// aᵀa is numerically zero: every feasible point is optimal.
-		for i := range x {
-			x[i] = Clamp(0, lo[i], hi[i])
-		}
-		return x, nil
-	}
-	step := 1 / lip
-
+	x, st := ws.x, ws.state
 	if x0 != nil {
-		if len(x0) != n {
-			return nil, fmt.Errorf("linalg: SolveNormal x0 length %d != %d", len(x0), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid solve
-		}
 		copy(x, x0)
 	} else {
 		for i := range x {
@@ -162,88 +188,221 @@ func (ws *BoxLSQWorkspace) SolveNormal(ata *Matrix, atb, lo, hi, x0 []float64, o
 		}
 	}
 	ClampVec(x, lo, hi)
-
-	grad := ws.grad
-	if opts.Plain {
-		for iter := 0; iter < opts.MaxIter; iter++ {
-			ata.MulVecInto(grad, x) // grad = ata·x
-			maxMove := 0.0
-			for i := 0; i < n; i++ {
-				g := grad[i] - atb[i]
-				next := Clamp(x[i]-step*g, lo[i], hi[i])
-				if d := math.Abs(next - x[i]); d > maxMove {
-					maxMove = d
-				}
-				x[i] = next
+	for i := 0; i < n; i++ {
+		ws.held[i] = false
+		switch {
+		case !(lo[i] < hi[i]): // lo == hi; the box is non-empty
+			x[i], st[i] = lo[i], varFixed
+		case ata.At(i, i) == 0:
+			// Row and column i of a PSD H are zero: the objective is
+			// linear in x_i, so its optimum is the bound b_i points to.
+			st[i] = varFixed
+			switch {
+			case atb[i] > 0:
+				x[i] = hi[i]
+			case atb[i] < 0:
+				x[i] = lo[i]
+			default:
+				x[i] = Clamp(0, lo[i], hi[i])
 			}
-			if maxMove <= opts.Tol {
-				break
-			}
+		case !(x[i] > lo[i]): // at lo, or a NaN start
+			x[i], st[i] = lo[i], varLo
+		case !(x[i] < hi[i]):
+			x[i], st[i] = hi[i], varHi
+		default:
+			st[i] = varFree
 		}
-		return x, nil
 	}
 
-	// Accelerated projected gradient (FISTA): take the 1/L gradient step at
-	// the extrapolated point y instead of at x, with the O'Donoghue–Candès
-	// gradient restart — when the momentum direction opposes the step just
-	// taken ((y−x⁺)·(x⁺−x) > 0), drop the momentum and continue as plain
-	// projected gradient from x⁺. On the near-singular ridge-regularized
-	// problems here this converges in tens of iterations where the fixed-step
-	// method needed the better part of MaxIter.
-	xn, y := ws.xn, ws.y
-	copy(y, x)
-	t := 1.0
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		ata.MulVecInto(grad, y) // grad = ata·y
-		// maxMove is the prox-gradient residual |x⁺ − y|∞: it bounds the
-		// projected-gradient stationarity of the point the step was taken
-		// at, and reduces to the plain-method criterion when momentum is off
-		// (y == x).
-		maxMove := 0.0
-		restart := 0.0
-		for i := 0; i < n; i++ {
-			g := grad[i] - atb[i]
-			next := Clamp(y[i]-step*g, lo[i], hi[i])
-			if d := math.Abs(next - y[i]); d > maxMove {
-				maxMove = d
-			}
-			restart += (y[i] - next) * (next - x[i])
-			xn[i] = next
+	// released is the variable the last multiplier test freed, until the
+	// next free-block solve confirms that it moves into the box.
+	released, releasedFrom := -1, varFree
+	for {
+		free, err := ws.solveFree(ata, atb)
+		if err != nil {
+			return nil, err
 		}
-		if restart > 0 {
-			t = 1
-			copy(y, xn)
+		z := ws.z
+		if released >= 0 && ((releasedFrom == varLo && z[released] <= lo[released]) ||
+			(releasedFrom == varHi && z[released] >= hi[released])) {
+			// The release points straight back out of the box: its
+			// multiplier was rounding noise. Keep the bound; x has not
+			// moved, so the free block's minimizer is still x.
+			st[released] = releasedFrom
+			ws.held[released] = true
 		} else {
-			tn := (1 + math.Sqrt(1+4*t*t)) / 2
-			beta := (t - 1) / tn
-			for i := 0; i < n; i++ {
-				y[i] = xn[i] + beta*(xn[i]-x[i])
+			if released >= 0 {
+				for i := range ws.held {
+					ws.held[i] = false
+				}
 			}
-			t = tn
+			// Ratio test: the first bound met on the segment x → z.
+			block, alpha := -1, 1.0
+			for _, i := range free {
+				var a float64
+				switch {
+				case z[i] < lo[i]:
+					a = (lo[i] - x[i]) / (z[i] - x[i])
+				case z[i] > hi[i]:
+					a = (hi[i] - x[i]) / (z[i] - x[i])
+				default:
+					continue
+				}
+				if block < 0 || a < alpha {
+					block, alpha = i, a
+				}
+			}
+			if block >= 0 {
+				for _, i := range free {
+					x[i] = Clamp(x[i]+alpha*(z[i]-x[i]), lo[i], hi[i])
+				}
+				if z[block] < lo[block] {
+					x[block], st[block] = lo[block], varLo
+				} else {
+					x[block], st[block] = hi[block], varHi
+				}
+				released = -1
+				if err := ws.countChange(opts); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			for _, i := range free {
+				x[i] = z[i]
+			}
 		}
-		copy(x, xn)
-		if maxMove <= opts.Tol {
-			break
+
+		// Multiplier test at the free block's minimizer.
+		k := ws.worstMultiplier(ata, atb)
+		if k < 0 {
+			ws.status.Converged = true
+			return x, nil
+		}
+		released, releasedFrom = k, st[k]
+		st[k] = varFree
+		if err := ws.countChange(opts); err != nil {
+			return nil, err
 		}
 	}
-	return x, nil
 }
 
-// BoxLSQ solves min_x ||a·x − b||² subject to lo ≤ x ≤ hi element-wise,
-// using accelerated projected gradient (FISTA with adaptive restart) with a
-// fixed 1/L step where L is the spectral norm of aᵀa (estimated by power
-// iteration). x0 is the starting point and is clamped into the box before
-// use; pass nil to start from the box midpoint.
+// countChange records one active-set change and fails the solve once the
+// cap is passed.
+func (ws *BoxLSQWorkspace) countChange(opts BoxLSQOptions) error {
+	ws.status.SetChanges++
+	if ws.status.SetChanges > opts.MaxSetChanges {
+		return ErrNotConverged
+	}
+	return nil
+}
+
+// solveFree factors the free block of h by Cholesky and writes the
+// minimizer over the free variables, with every other variable held at its
+// current value, into ws.z. It returns the free index list.
+func (ws *BoxLSQWorkspace) solveFree(h *Matrix, b []float64) ([]int, error) {
+	x, st := ws.x, ws.state
+	k := 0
+	for i, s := range st {
+		if s == varFree {
+			ws.free[k] = i
+			k++
+		}
+	}
+	free := ws.free[:k]
+	if k == 0 {
+		return free, nil
+	}
+	ws.status.Factorizations++
+
+	// Right-hand side b_F − H_FB·x_B.
+	y := ws.rhs[:k]
+	for r, i := range free {
+		s := b[i]
+		for j, sj := range st {
+			if sj != varFree {
+				s -= h.At(i, j) * x[j]
+			}
+		}
+		y[r] = s
+	}
+
+	// H_FF = L·Lᵀ, column by column.
+	l := ws.l[:k*k]
+	for c := 0; c < k; c++ {
+		d := h.At(free[c], free[c])
+		for p := 0; p < c; p++ {
+			d -= l[c*k+p] * l[c*k+p]
+		}
+		if !(d > 0) {
+			return nil, ErrNotPositiveDefinite
+		}
+		d = math.Sqrt(d)
+		l[c*k+c] = d
+		for r := c + 1; r < k; r++ {
+			s := h.At(free[r], free[c])
+			for p := 0; p < c; p++ {
+				s -= l[r*k+p] * l[c*k+p]
+			}
+			l[r*k+c] = s / d
+		}
+	}
+
+	// L·y = rhs, then Lᵀ·z = y, both in place.
+	for r := 0; r < k; r++ {
+		s := y[r]
+		for p := 0; p < r; p++ {
+			s -= l[r*k+p] * y[p]
+		}
+		y[r] = s / l[r*k+r]
+	}
+	for r := k - 1; r >= 0; r-- {
+		s := y[r]
+		for p := r + 1; p < k; p++ {
+			s -= l[p*k+r] * y[p]
+		}
+		y[r] = s / l[r*k+r]
+	}
+	for r, i := range free {
+		if !finite(y[r]) {
+			return nil, ErrNotFinite
+		}
+		ws.z[i] = y[r]
+	}
+	return free, nil
+}
+
+// worstMultiplier returns the held variable whose multiplier has the wrong
+// sign by the most — the gradient (H·x − b)_i must be ≥ 0 at a lower bound
+// and ≤ 0 at an upper one — or −1 when every multiplier passes. Held
+// bounds, whose release was undone, are skipped.
+func (ws *BoxLSQWorkspace) worstMultiplier(h *Matrix, b []float64) int {
+	grad := h.MulVecInto(ws.grad, ws.x)
+	worst, k := 0.0, -1
+	for i, s := range ws.state {
+		if (s != varLo && s != varHi) || ws.held[i] {
+			continue
+		}
+		v := grad[i] - b[i]
+		if s == varLo {
+			v = -v
+		}
+		if v > worst {
+			worst, k = v, i
+		}
+	}
+	return k
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// BoxLSQ solves min_x ||a·x − b||² subject to lo ≤ x ≤ hi element-wise by
+// the active-set method of SolveNormal on the normal equations with
+// opts.Ridge added. x0 is the starting point and is clamped into the box
+// before use; pass nil to start from the box midpoint.
 //
 // This is the one-shot convenience wrapper: it forms the normal equations
-// from the stacked matrix and solves with a fresh workspace (cold-started
-// power iteration). Hot paths keep a BoxLSQWorkspace and call SolveNormal
-// to reuse buffers and warm starts across solves.
-//
-// The returned point satisfies the KKT conditions of the box-constrained
-// problem to within opts.Tol: the gradient is ~0 on free coordinates,
-// non-negative at lower-active coordinates, and non-positive at
-// upper-active coordinates.
+// from the stacked matrix and solves with a fresh workspace. Hot paths
+// keep a BoxLSQWorkspace and call SolveNormal to reuse its buffers.
 func BoxLSQ(a *Matrix, b, lo, hi, x0 []float64, opts BoxLSQOptions) ([]float64, error) {
 	n := a.Cols()
 	if len(lo) != n || len(hi) != n {
@@ -256,51 +415,11 @@ func BoxLSQ(a *Matrix, b, lo, hi, x0 []float64, opts BoxLSQOptions) ([]float64, 
 	a.MulATAInto(ata)
 	atb := make([]float64, n)
 	a.MulTVecInto(atb, b)
-	ws := NewBoxLSQWorkspace()
-	x, err := ws.SolveNormal(ata, atb, lo, hi, x0, opts)
+	x, err := NewBoxLSQWorkspace().SolveNormal(ata, atb, lo, hi, x0, opts)
 	if err != nil {
 		return nil, err
 	}
 	return Clone(x), nil
-}
-
-// spectralNorm estimates the largest eigenvalue of the symmetric positive
-// semi-definite matrix m by power iteration, warm-started from the
-// workspace's previous eigenvector estimate when one of the right dimension
-// exists. Successive control periods solve nearly identical problems, so
-// the carried vector is already almost the dominant eigenvector and the
-// iteration converges in a step or two instead of tens.
-func (ws *BoxLSQWorkspace) spectralNorm(m *Matrix) float64 {
-	n := m.Rows()
-	ws.ensure(n) //lint:allow hotpathalloc dimension-change resize; steady state hits the sized path
-	v, w, t := ws.eig[:n], ws.pw[:n], ws.pt[:n]
-	if !ws.haveEig {
-		inv := 1 / math.Sqrt(float64(n))
-		for i := range v {
-			v[i] = inv
-		}
-	}
-	lambda := 0.0
-	for iter := 0; iter < 100; iter++ {
-		m.MulVecInto(w, v)
-		norm := Norm2(w)
-		if norm == 0 {
-			return 0
-		}
-		for i := range w {
-			w[i] /= norm
-		}
-		m.MulVecInto(t, w)
-		newLambda := Dot(w, t)
-		copy(v, w) // v doubles as the carried warm-start state
-		if math.Abs(newLambda-lambda) <= 1e-12*math.Max(1, math.Abs(newLambda)) {
-			ws.haveEig = true
-			return newLambda
-		}
-		lambda = newLambda
-	}
-	ws.haveEig = true
-	return lambda
 }
 
 // KKTResidual reports how far x is from satisfying the KKT conditions of

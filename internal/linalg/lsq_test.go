@@ -137,21 +137,3 @@ func TestBoxLSQKKTProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSpectralNorm(t *testing.T) {
-	// Known eigenvalues: diag(3, 1) => spectral norm 3.
-	m := FromRows([][]float64{{3, 0}, {0, 1}})
-	if got := NewBoxLSQWorkspace().spectralNorm(m); !almostEq(got, 3, 1e-9) {
-		t.Errorf("spectralNorm = %v, want 3", got)
-	}
-	// Symmetric 2x2 [[2,1],[1,2]] has eigenvalues 3 and 1.
-	m2 := FromRows([][]float64{{2, 1}, {1, 2}})
-	ws := NewBoxLSQWorkspace()
-	if got := ws.spectralNorm(m2); !almostEq(got, 3, 1e-6) {
-		t.Errorf("spectralNorm = %v, want 3", got)
-	}
-	// A warm-started second call converges to the same value.
-	if got := ws.spectralNorm(m2); !almostEq(got, 3, 1e-6) {
-		t.Errorf("warm spectralNorm = %v, want 3", got)
-	}
-}

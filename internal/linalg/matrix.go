@@ -4,10 +4,13 @@
 // box-constrained).
 //
 // The paper's EUCON inner loop (Lu et al. 2005) solves a constrained
-// least-squares problem each control period with a MATLAB-style solver; this
-// package is the stdlib-only replacement. Sizes are tiny (tens of rows), so
-// the implementation favours clarity and numerical robustness over blocking
-// or SIMD.
+// least-squares problem each control period with MATLAB's lsqlin, an
+// active-set solver; this package is the stdlib-only replacement. Its box
+// solver (BoxLSQWorkspace.SolveNormal) is an exact primal active-set
+// method on a Cholesky factor of the free block, which ends with the KKT
+// conditions met to rounding or reports an error, never an approximate
+// point. Sizes are tiny (tens of rows), so the implementation favours
+// clarity and numerical robustness over blocking or SIMD.
 package linalg
 
 import (

@@ -246,8 +246,8 @@ func TestAllowHygiene(t *testing.T) {
 // markers proven by hotpathalloc's escape replay, as the colfmt column
 // encoders do.
 const (
-	repoAllowCount     = 75 // -1: sched.Reference (and its floateq allow) moved into a test file
-	repoStickyCount    = 26 // +2: checkpoint warm state (recycled capture scratch)
+	repoAllowCount     = 71 // -4: the active-set workspace sizes one float buffer, and its failures are sentinel errors
+	repoStickyCount    = 20 // -6: BoxLSQWorkspace carries no warm state and is no longer a pooled type
 	repoNoallocCount   = 27 // +6: serve serialize/metrics leaves, colfmt.AppendMagic + AppendRun (stdlib append callees block certify)
 	repoCertifyCount   = 19 // +1: serve.Registry.observe (per-request metrics fold)
 	repoHookpointCount = 17 // -3: Middleware driver dispatch; only the pooled Scheduler implements sched.Driver in non-test code

@@ -71,7 +71,6 @@ var pooledRegistry = []pooledEntry{
 	{pkgSuffix: "internal/eucon", typeName: "Decentralized", method: "Reset"},
 	{pkgSuffix: "internal/precision", typeName: "Controller", method: "Reset"},
 	{pkgSuffix: "internal/precision", typeName: "Detector", method: "ResetAll"},
-	{pkgSuffix: "internal/linalg", typeName: "BoxLSQWorkspace", method: "Reset"},
 	{pkgSuffix: "internal/core", typeName: "Middleware", method: "Reset"},
 	{pkgSuffix: "internal/core", typeName: "Session", method: "Run"},
 	// Checkpoint types are pooled through SnapshotInto recycling: their
@@ -82,7 +81,6 @@ var pooledRegistry = []pooledEntry{
 	{pkgSuffix: "internal/sched", typeName: "SchedulerCheckpoint", method: "CaptureFrom"},
 	{pkgSuffix: "internal/eucon", typeName: "ControllerCheckpoint", method: "CaptureFrom"},
 	{pkgSuffix: "internal/precision", typeName: "ControllerCheckpoint", method: "CaptureFrom"},
-	{pkgSuffix: "internal/linalg", typeName: "BoxLSQState", method: "CaptureFrom"},
 	{pkgSuffix: "internal/core", typeName: "Checkpoint", method: "captureFrom"},
 }
 

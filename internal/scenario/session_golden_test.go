@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/autoe2e/autoe2e/internal/core"
+	"github.com/autoe2e/autoe2e/internal/eucon"
 	"github.com/autoe2e/autoe2e/internal/sched"
 	"github.com/autoe2e/autoe2e/internal/simtime"
 )
@@ -17,6 +18,7 @@ type observedRun struct {
 	counters  []sched.TaskCounter
 	rates     []float64
 	precision float64
+	solver    eucon.SolveStats
 }
 
 func observe(t *testing.T, res *core.RunResult, chains []sched.ChainEvent) observedRun {
@@ -35,6 +37,7 @@ func observe(t *testing.T, res *core.RunResult, chains []sched.ChainEvent) obser
 		counters:  append([]sched.TaskCounter(nil), res.Counters...),
 		rates:     rates,
 		precision: res.State.TotalPrecision(),
+		solver:    res.Solver,
 	}
 }
 
@@ -100,6 +103,9 @@ func requireRunsIdentical(t *testing.T, label string, want, got observedRun) {
 	//lint:allow floateq identical closed loops must land on bit-identical precision
 	if want.precision != got.precision {
 		t.Fatalf("%s: final total precision diverged: fresh %v, session %v", label, want.precision, got.precision)
+	}
+	if want.solver != got.solver {
+		t.Fatalf("%s: inner solver totals diverged: fresh %+v, session %+v", label, want.solver, got.solver)
 	}
 	if !bytes.Equal(want.csv, got.csv) {
 		t.Fatalf("%s: recorded time series diverged between fresh Run and Session (CSV bytes differ)", label)

@@ -200,17 +200,95 @@ func (c *Controller) Steer(s vehicle.State, path vehicle.Path, n int) float64 {
 		lo[k] = -c.cfg.Params.MaxSteer
 		hi[k] = c.cfg.Params.MaxSteer
 	}
-	// The plain fixed-step iteration, not the accelerated default: the
-	// tracking gains are tuned around the damped steering sequences the
-	// budget-capped plain method produces from a cold midpoint start.
-	opts := linalg.DefaultBoxLSQOptions()
-	opts.Plain = true
-	x, err := linalg.BoxLSQ(a, b, lo, hi, nil, opts)
-	if err != nil {
-		// The box is always non-empty and the matrix finite; a solver
-		// failure is a programming error, but a safe steering output
-		// (straight) degrades gracefully in simulation.
-		return 0
+	return dampedBoxLSQ(a, b, lo, hi)[0]
+}
+
+// Budget, stopping threshold and ridge of dampedBoxLSQ.
+const (
+	dampedMaxIter = 2000
+	dampedTol     = 1e-10
+	dampedRidge   = 1e-9
+)
+
+// dampedBoxLSQ approximately solves min ||a·x − b||² on the box [lo, hi]
+// by fixed-step projected gradient from the box midpoint, with step 1/L (L
+// the spectral norm of aᵀa + ridge·I, by cold power iteration) and at most
+// dampedMaxIter steps. On the ill-conditioned horizons here the budget
+// usually runs out first, and the tracking gains are tuned around the
+// damped steering sequences that produces: with the exact optimum
+// (linalg.BoxLSQ) the co-simulation's TestTradeoffUShape and
+// TestMotivationTrajectory fail. So the tracker keeps this loop.
+func dampedBoxLSQ(a *linalg.Matrix, b, lo, hi []float64) []float64 {
+	n := a.Cols()
+	ata := linalg.NewMatrix(n, n)
+	a.MulATAInto(ata)
+	atb := make([]float64, n)
+	a.MulTVecInto(atb, b)
+	for i := 0; i < n; i++ {
+		ata.Add(i, i, dampedRidge)
 	}
-	return x[0]
+
+	x := make([]float64, n)
+	lip := spectralNorm(ata)
+	if lip <= 0 {
+		for i := range x {
+			x[i] = linalg.Clamp(0, lo[i], hi[i])
+		}
+		return x
+	}
+	step := 1 / lip
+	for i := range x {
+		x[i] = (lo[i] + hi[i]) / 2
+	}
+	linalg.ClampVec(x, lo, hi)
+
+	grad := make([]float64, n)
+	for iter := 0; iter < dampedMaxIter; iter++ {
+		ata.MulVecInto(grad, x) // grad = ata·x
+		maxMove := 0.0
+		for i := 0; i < n; i++ {
+			g := grad[i] - atb[i]
+			next := linalg.Clamp(x[i]-step*g, lo[i], hi[i])
+			if d := math.Abs(next - x[i]); d > maxMove {
+				maxMove = d
+			}
+			x[i] = next
+		}
+		if maxMove <= dampedTol {
+			break
+		}
+	}
+	return x
+}
+
+// spectralNorm estimates the largest eigenvalue of the symmetric positive
+// semi-definite matrix m by power iteration from the uniform vector.
+func spectralNorm(m *linalg.Matrix) float64 {
+	n := m.Rows()
+	v := make([]float64, n)
+	w := make([]float64, n)
+	t := make([]float64, n)
+	inv := 1 / math.Sqrt(float64(n))
+	for i := range v {
+		v[i] = inv
+	}
+	lambda := 0.0
+	for iter := 0; iter < 100; iter++ {
+		m.MulVecInto(w, v)
+		norm := linalg.Norm2(w)
+		if norm == 0 {
+			return 0
+		}
+		for i := range w {
+			w[i] /= norm
+		}
+		m.MulVecInto(t, w)
+		newLambda := linalg.Dot(w, t)
+		copy(v, w)
+		if math.Abs(newLambda-lambda) <= 1e-12*math.Max(1, math.Abs(newLambda)) {
+			return newLambda
+		}
+		lambda = newLambda
+	}
+	return lambda
 }

@@ -1,9 +1,12 @@
 package tracking
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"github.com/autoe2e/autoe2e/internal/linalg"
 	"github.com/autoe2e/autoe2e/internal/simtime"
 	"github.com/autoe2e/autoe2e/internal/vehicle"
 )
@@ -200,5 +203,51 @@ func TestTracksDynamicPlant(t *testing.T) {
 	}
 	if car.X < 14 {
 		t.Errorf("car only reached x = %v", car.X)
+	}
+}
+
+// TestSteerDigest pins the steering sequence of the closed-loop lane change
+// at three horizons, bit for bit, to the digests the damped solver produced
+// when it still lived in linalg: moving it must not change one output.
+func TestSteerDigest(t *testing.T) {
+	params := vehicle.ScaledCar()
+	c, err := New(Config{Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := vehicle.ScaledDoubleLaneChange()
+	for _, tc := range []struct {
+		n    int
+		want uint64
+	}{{20, 0x26ce33556b81c9d1}, {8, 0x12d7db9166e98a25}, {3, 0x7fecd39a26fc6d10}} {
+		h := fnv.New64a()
+		car := vehicle.State{V: 0.7}
+		steer := 0.0
+		var buf [8]byte
+		for k := 0; k < 3000; k++ {
+			car.Step(params, steer, 0, 0.01)
+			if k%5 == 0 {
+				steer = c.Steer(car, path, tc.n)
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(steer))
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("horizon %d: steering digest %#x, want %#x", tc.n, got, tc.want)
+		}
+	}
+}
+
+func TestSpectralNorm(t *testing.T) {
+	// Known eigenvalues: diag(3, 1) => spectral norm 3.
+	if got := spectralNorm(linalg.FromRows([][]float64{{3, 0}, {0, 1}})); math.Abs(got-3) > 1e-9 {
+		t.Errorf("spectralNorm = %v, want 3", got)
+	}
+	// Symmetric 2x2 [[2,1],[1,2]] has eigenvalues 3 and 1.
+	if got := spectralNorm(linalg.FromRows([][]float64{{2, 1}, {1, 2}})); math.Abs(got-3) > 1e-6 {
+		t.Errorf("spectralNorm = %v, want 3", got)
+	}
+	if got := spectralNorm(linalg.NewMatrix(2, 2)); got != 0 {
+		t.Errorf("spectralNorm of zero matrix = %v, want 0", got)
 	}
 }

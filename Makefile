@@ -20,11 +20,13 @@ race:
 # autoe2e-lint is this repository's own invariant checker (internal/lint):
 # determinism, simtime-only durations, float equality, map-iteration
 # order, panic discipline, typed physical units, owned-buffer lifetimes,
-# pooled-type reset completeness, the //lint:noalloc escape gate, and the
-# interprocedural effect certifications (//lint:certify roots, parallel
-# worker-closure safety). See the Invariants and "Ownership & lifetimes"
-# sections of DESIGN.md. -timing prints each analyzer's wall time and
-# -budget fails the gate if the whole run exceeds a minute, so an analyzer
+# pooled-type reset completeness, and the interprocedural effect
+# certifications (//lint:certify roots, whose noalloc contracts read the
+# compiler's escape analysis, and parallel worker-closure safety), plus
+# stale //lint:allow annotations. See the Invariants and "Ownership &
+# lifetimes" sections of DESIGN.md. -timing prints the wall time of the
+# module load, each analyzer and the test-file load and pass, and -budget
+# fails the gate if their total exceeds a minute, so a load or analyzer
 # whose cost regresses shows up here before it slows every CI run.
 lint:
 	$(GO) run ./cmd/autoe2e-lint -timing -budget 60s ./...

@@ -1085,26 +1085,40 @@ func BenchmarkTraceDecode(b *testing.B) {
 	b.ReportMetric(float64(samples), "samples_per_run")
 }
 
-// BenchmarkLintLoader times the dependency-free module loader every
-// autoe2e-lint run starts with: discovering, parsing, and type-checking
-// the whole module with module-internal imports served from the loader's
-// own source-checked results (object identity is what the interprocedural
-// effects/parsafe analyzers lean on). This is the fixed cost of the lint
-// gate, tracked in BENCH_control.json so a loader regression surfaces in
-// review before it slows every `make lint` and CI run.
+// BenchmarkLintLoader times the dependency-free loads every autoe2e-lint
+// run starts with, on one Loader as the run does: discovering, parsing,
+// and type-checking the whole module with module-internal imports served
+// from the loader's own source-checked results (object identity is what
+// the interprocedural effects/parsafe analyzers lean on), then the
+// module's _test.go files, which reuse the type-checked standard library.
+// This is the fixed cost of the lint gate, tracked in BENCH_control.json
+// so a loader regression surfaces in review before it slows every
+// `make lint` and CI run. module_ms and tests_ms split one load's wall
+// time between the two.
 func BenchmarkLintLoader(b *testing.B) {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var moduleNs, testsNs int64
 	for i := 0; i < b.N; i++ {
-		pkgs, err := lint.NewLoader().LoadModule(root)
+		l := lint.NewLoader()
+		start := time.Now()
+		pkgs, err := l.LoadModule(root)
 		if err != nil {
 			b.Fatal(err)
 		}
+		mid := time.Now()
+		if _, err := l.LoadModuleTests(root); err != nil {
+			b.Fatal(err)
+		}
+		moduleNs += mid.Sub(start).Nanoseconds()
+		testsNs += time.Since(mid).Nanoseconds()
 		if len(pkgs) < 10 {
 			b.Fatalf("loaded %d packages, expected the whole module", len(pkgs))
 		}
 	}
+	b.ReportMetric(float64(moduleNs)/float64(b.N)/1e6, "module_ms")
+	b.ReportMetric(float64(testsNs)/float64(b.N)/1e6, "tests_ms")
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	autoe2e-lint [-only name,name] [-list] [-escape-report] [-effects-report]
+//	autoe2e-lint [-only name,name] [-list] [-effects-report]
 //	             [-sarif out.json] [-timing] [-budget 60s] [packages]
 //
 // The package arguments are accepted for familiarity ("./...") but the
@@ -13,14 +13,11 @@
 // the invariants are module-wide by design.
 //
 // Beyond the module's non-test packages, the value-level analyzers
-// mapiter and floateq also run over _test.go files: tests compare floats
-// and iterate maps as readily as product code, and a nondeterministic
-// assertion is a flaky test.
-//
-// -escape-report prints every heap-escape site the compiler reports for
-// the module, one "file:line:col: message" per line, annotated or not —
-// the raw material CI diffs against a base revision to comment on newly
-// escaping sites.
+// mapiter and floateq also run over _test.go files, loaded on the same
+// type-checker so the standard library is checked once: tests compare
+// floats and iterate maps as readily as product code, and a
+// nondeterministic assertion is a flaky test. A run of the whole suite
+// (no -only) also reports every //lint:allow that suppressed nothing.
 //
 // -effects-report prints the interprocedural certification summary: every
 // //lint:certify entry point with its verdict, reach, unresolved-edge
@@ -29,9 +26,10 @@
 // -sarif writes the run's diagnostics as SARIF 2.1.0 for GitHub code
 // scanning, which renders them as inline PR annotations.
 //
-// -timing prints each analyzer's wall time; -budget fails the run when
-// the analyzers' total exceeds the given duration, keeping `make lint`
-// honest about its CI cost.
+// -timing prints the wall time of the module load, each analyzer, the
+// test-file load and the test-file pass; -budget fails the run when their
+// total exceeds the given duration, keeping `make lint` honest about its
+// CI cost.
 package main
 
 import (
@@ -49,19 +47,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// testFileAnalyzers names the analyzers that extend over _test.go files.
-var testFileAnalyzers = map[string]bool{"mapiter": true, "floateq": true}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("autoe2e-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated subset of analyzers to run")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	escapeReport := fs.Bool("escape-report", false, "print every module heap-escape site and exit")
 	effectsReport := fs.Bool("effects-report", false, "print the //lint:certify certification summary and exit")
 	sarifOut := fs.String("sarif", "", "write diagnostics as SARIF 2.1.0 to this file")
-	timing := fs.Bool("timing", false, "print per-analyzer wall time")
-	budget := fs.Duration("budget", 0, "fail if total analyzer time exceeds this duration (0 = no budget)")
+	timing := fs.Bool("timing", false, "print the wall time of each load and analyzer")
+	budget := fs.Duration("budget", 0, "fail if the total load and analyzer time exceeds this duration (0 = no budget)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -84,18 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "autoe2e-lint:", err)
 		return 2
 	}
-
-	if *escapeReport {
-		sites, err := lint.EscapeReport(root)
-		if err != nil {
-			fmt.Fprintln(stderr, "autoe2e-lint:", err)
-			return 2
-		}
-		for _, s := range sites {
-			fmt.Fprintln(stdout, s)
-		}
-		return 0
-	}
 	if *only != "" {
 		analyzers, err = lint.ByName(strings.Split(*only, ","))
 		if err != nil {
@@ -104,13 +86,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	pkgs, err := lint.NewLoader().LoadModule(root)
-	if err != nil {
-		fmt.Fprintln(stderr, "autoe2e-lint:", err)
-		return 2
-	}
-
 	if *effectsReport {
+		pkgs, err := lint.NewLoader().LoadModule(root)
+		if err != nil {
+			fmt.Fprintln(stderr, "autoe2e-lint:", err)
+			return 2
+		}
 		report, diags, err := lint.EffectsReport(pkgs)
 		if err != nil {
 			fmt.Fprintln(stderr, "autoe2e-lint:", err)
@@ -126,34 +107,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	diags, timings := lint.RunModule(pkgs, analyzers)
-
-	// The test-file pass: mapiter and floateq over _test.go files, on a
-	// separate loader (test packages would collide with the main file
-	// set's package identities). Diagnostics on non-test files are the
-	// augmented packages re-reporting the main run and are dropped.
-	var testAnalyzers []*lint.Analyzer
-	for _, a := range analyzers {
-		if testFileAnalyzers[a.Name] {
-			testAnalyzers = append(testAnalyzers, a)
-		}
+	res, err := lint.Lint(root, analyzers)
+	if err != nil {
+		fmt.Fprintln(stderr, "autoe2e-lint:", err)
+		return 2
 	}
-	if len(testAnalyzers) > 0 {
-		testPkgs, err := lint.NewLoader().LoadModuleTests(root)
-		if err != nil {
-			fmt.Fprintln(stderr, "autoe2e-lint:", err)
-			return 2
-		}
-		start := time.Now()
-		testDiags, _ := lint.RunModule(testPkgs, testAnalyzers)
-		for _, d := range testDiags {
-			if strings.HasSuffix(d.Pos.Filename, "_test.go") {
-				diags = append(diags, d)
-			}
-		}
-		timings = append(timings, lint.Timing{Analyzer: "tests(mapiter,floateq)", Elapsed: time.Since(start)})
-	}
-
+	diags := res.Diagnostics
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
 	}
@@ -174,11 +133,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var total time.Duration
-	for _, tm := range timings {
+	for _, tm := range res.Timings {
 		total += tm.Elapsed
 	}
 	if *timing {
-		for _, tm := range timings {
+		for _, tm := range res.Timings {
 			fmt.Fprintf(stderr, "autoe2e-lint: %-24s %8.0fms\n", tm.Analyzer, tm.Elapsed.Seconds()*1000)
 		}
 		fmt.Fprintf(stderr, "autoe2e-lint: %-24s %8.0fms\n", "total", total.Seconds()*1000)
@@ -186,11 +145,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	code := 0
 	if len(diags) > 0 {
-		fmt.Fprintf(stderr, "autoe2e-lint: %d violation(s) in %d package(s) checked\n", len(diags), len(pkgs))
+		fmt.Fprintf(stderr, "autoe2e-lint: %d violation(s) in %d package(s) checked\n", len(diags), res.Packages)
 		code = 1
 	}
 	if *budget > 0 && total > *budget {
-		fmt.Fprintf(stderr, "autoe2e-lint: analyzer time %s exceeds budget %s\n", total.Round(time.Millisecond), *budget)
+		fmt.Fprintf(stderr, "autoe2e-lint: lint time %s exceeds budget %s\n", total.Round(time.Millisecond), *budget)
 		code = 1
 	}
 	return code

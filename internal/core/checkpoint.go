@@ -62,7 +62,7 @@ func (s *Session) decodeEventArg(a simtime.EventArg) any {
 	if v, ok := s.sch.DecodeEventArg(a); ok {
 		return v
 	}
-	panic(fmt.Sprintf("core: checkpoint event argument kind %d is unknown", a.Kind)) //lint:allow panicguard unreachable for checkpoints produced by Snapshot; reaching it means memory corruption
+	panic(fmt.Sprintf("core: checkpoint event argument kind %d is unknown", a.Kind))
 }
 
 // Checkpoint is a complete, self-contained copy of a live mid-run session:

@@ -212,7 +212,7 @@ func (m *Middleware) fail(err error) {
 // engine.
 func (m *Middleware) Start() {
 	if m.started {
-		panic("core: Middleware.Start called twice") //lint:allow panicguard double Start corrupts the tick cadence; failing loudly is the contract
+		panic("core: Middleware.Start called twice") //lint:allow effects double Start corrupts the tick cadence; failing loudly is the contract
 	}
 	m.started = true
 	m.lastCounters = m.sch.CountersInto(m.lastCounters)
@@ -268,7 +268,7 @@ func (m *Middleware) innerTick(now simtime.Time) {
 		if _, err := m.inner.Step(utils); err != nil {
 			// The MPC can only fail on programmer error (dimension
 			// mismatch); stopping the run loudly beats silently coasting.
-			m.fail(fmt.Errorf("core: inner loop at %v: %w", now, err)) //lint:allow hotpathalloc error path; the run is already failing
+			m.fail(fmt.Errorf("core: inner loop at %v: %w", now, err)) //lint:allow effects error path; the run is already failing
 			return
 		}
 	}
@@ -281,7 +281,7 @@ func (m *Middleware) innerTick(now simtime.Time) {
 		if m.innerCount%m.cfg.OuterEvery == 0 {
 			res, err := m.outer.Step(utils)
 			if err != nil {
-				m.fail(fmt.Errorf("core: outer loop at %v: %w", now, err)) //lint:allow hotpathalloc error path; the run is already failing
+				m.fail(fmt.Errorf("core: outer loop at %v: %w", now, err)) //lint:allow effects error path; the run is already failing
 				return
 			}
 			for j := range res.Reclaimed {

@@ -339,7 +339,7 @@ func (s *Session) execute(cfg RunConfig) (*RunResult, error) {
 
 	s.res.Trace = s.rec
 	s.res.State = s.state
-	s.res.Counters = s.sch.CountersInto(s.res.Counters) //lint:allow hotpathalloc first-run sizing; warm runs reuse the buffer
+	s.res.Counters = s.sch.CountersInto(s.res.Counters) //lint:allow effects first-run sizing; warm runs reuse the buffer
 	s.res.Solver = s.mw.solveStats()
 	return &s.res, nil
 }

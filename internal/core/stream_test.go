@@ -74,7 +74,6 @@ func requireResultsEqual(t *testing.T, label string, want, got *RunResult) {
 		}
 	}
 	for i, r := range want.State.Rates() {
-		//lint:allow floateq identical runs must land on bit-identical rates
 		if got.State.Rates()[i] != r {
 			t.Fatalf("%s: rate %d diverged", label, i)
 		}

@@ -174,7 +174,7 @@ func (d *Decentralized) Step(utils []units.Util) (Result, error) {
 	sys := d.state.System()
 	n, m := sys.NumECUs, len(sys.Tasks)
 	if len(utils) != n {
-		return Result{}, fmt.Errorf("eucon: got %d utilizations, want %d", len(utils), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid run
+		return Result{}, fmt.Errorf("eucon: got %d utilizations, want %d", len(utils), n)
 	}
 
 	// Load coefficients and per-ECU task counts (the "neighborhood"

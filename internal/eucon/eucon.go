@@ -441,7 +441,7 @@ func (c *Controller) Step(utils []units.Util) (Result, error) {
 	sys := c.state.System()
 	n, m := sys.NumECUs, len(sys.Tasks)
 	if len(utils) != n {
-		return Result{}, fmt.Errorf("eucon: got %d utilizations, want %d", len(utils), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid run
+		return Result{}, fmt.Errorf("eucon: got %d utilizations, want %d", len(utils), n)
 	}
 	x0 := c.formProblem(utils)
 	x, err := c.ws.SolveNormal(c.ata, c.atb, c.lo, c.hi, x0, linalg.DefaultBoxLSQOptions())

@@ -101,11 +101,11 @@ func (ws *BoxLSQWorkspace) Status() SolveStatus { return ws.status }
 // ensure sizes every buffer for an n-dimensional solve.
 func (ws *BoxLSQWorkspace) ensure(n int) {
 	if len(ws.x) != n {
-		buf := make([]float64, 4*n+n*n) //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
+		buf := make([]float64, 4*n+n*n) //lint:allow effects workspace sizing on dimension change; same-dimension solves reuse every buffer
 		ws.x, ws.z, ws.rhs, ws.grad, ws.l = buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n], buf[4*n:]
-		ws.free = make([]int, n)   //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
-		ws.state = make([]int8, n) //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
-		ws.held = make([]bool, n)  //lint:allow hotpathalloc workspace sizing on dimension change; same-dimension solves reuse every buffer
+		ws.free = make([]int, n)   //lint:allow effects workspace sizing on dimension change; same-dimension solves reuse every buffer
+		ws.state = make([]int8, n) //lint:allow effects workspace sizing on dimension change; same-dimension solves reuse every buffer
+		ws.held = make([]bool, n)  //lint:allow effects workspace sizing on dimension change; same-dimension solves reuse every buffer
 	}
 }
 
@@ -147,14 +147,14 @@ func (ws *BoxLSQWorkspace) ensure(n int) {
 func (ws *BoxLSQWorkspace) SolveNormal(ata *Matrix, atb, lo, hi, x0 []float64, opts BoxLSQOptions) ([]float64, error) {
 	n := ata.Cols()
 	if ata.Rows() != n {
-		return nil, fmt.Errorf("linalg: SolveNormal on non-square %dx%d matrix", ata.Rows(), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid solve
+		return nil, fmt.Errorf("linalg: SolveNormal on non-square %dx%d matrix", ata.Rows(), n)
 	}
 	if len(atb) != n || len(lo) != n || len(hi) != n {
-		return nil, fmt.Errorf("linalg: SolveNormal vector length %d/%d/%d != %d", len(atb), len(lo), len(hi), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid solve
+		return nil, fmt.Errorf("linalg: SolveNormal vector length %d/%d/%d != %d", len(atb), len(lo), len(hi), n)
 	}
 	for i := 0; i < n; i++ {
 		if !(lo[i] <= hi[i]) {
-			return nil, fmt.Errorf("linalg: SolveNormal empty box at coordinate %d: [%g, %g]", i, lo[i], hi[i]) //lint:allow hotpathalloc dimension-error path, never taken in a valid solve
+			return nil, fmt.Errorf("linalg: SolveNormal empty box at coordinate %d: [%g, %g]", i, lo[i], hi[i])
 		}
 		if !finite(atb[i]) || !finite(lo[i]) || !finite(hi[i]) {
 			return nil, ErrNotFinite
@@ -166,12 +166,12 @@ func (ws *BoxLSQWorkspace) SolveNormal(ata *Matrix, atb, lo, hi, x0 []float64, o
 		}
 	}
 	if x0 != nil && len(x0) != n {
-		return nil, fmt.Errorf("linalg: SolveNormal x0 length %d != %d", len(x0), n) //lint:allow hotpathalloc dimension-error path, never taken in a valid solve
+		return nil, fmt.Errorf("linalg: SolveNormal x0 length %d != %d", len(x0), n)
 	}
 	if opts.MaxSetChanges <= 0 {
 		opts = DefaultBoxLSQOptions()
 	}
-	ws.ensure(n) //lint:allow hotpathalloc dimension-change resize; steady state hits the sized path
+	ws.ensure(n) //lint:allow effects dimension-change resize; steady state hits the sized path
 	if opts.Ridge > 0 {
 		for i := 0; i < n; i++ {
 			ata.Add(i, i, opts.Ridge)

@@ -34,7 +34,7 @@ type Matrix struct {
 // caller.
 func NewMatrix(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("linalg: invalid matrix shape %dx%d", rows, cols)) //lint:allow hotpathalloc,panicguard shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
+		panic(fmt.Sprintf("linalg: invalid matrix shape %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
@@ -42,12 +42,12 @@ func NewMatrix(rows, cols int) *Matrix {
 // FromRows builds a matrix from a slice of equal-length rows.
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: FromRows with empty input") //lint:allow panicguard shape guard; mismatched dimensions are a programmer error
+		panic("linalg: FromRows with empty input")
 	}
 	m := NewMatrix(len(rows), len(rows[0]))
 	for i, r := range rows {
 		if len(r) != m.cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: %d != %d", i, len(r), m.cols)) //lint:allow hotpathalloc,panicguard shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
+			panic(fmt.Sprintf("linalg: ragged row %d: %d != %d", i, len(r), m.cols))
 		}
 		copy(m.data[i*m.cols:(i+1)*m.cols], r)
 	}
@@ -108,7 +108,7 @@ func (m *Matrix) Transpose() *Matrix {
 // Mul returns the matrix product m·b.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
 	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols)) //lint:allow hotpathalloc,panicguard shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
+		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
 	}
 	out := NewMatrix(m.rows, b.cols)
 	for i := 0; i < m.rows; i++ {
@@ -128,7 +128,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 // MulVec returns the matrix-vector product m·x.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if m.cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch %dx%d · %d", m.rows, m.cols, len(x))) //lint:allow hotpathalloc,panicguard shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
+		panic(fmt.Sprintf("linalg: MulVec shape mismatch %dx%d · %d", m.rows, m.cols, len(x)))
 	}
 	out := make([]float64, m.rows)
 	for i := 0; i < m.rows; i++ {
@@ -148,10 +148,10 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 // bit-identical results.
 func (m *Matrix) MulVecInto(dst, x []float64) []float64 {
 	if m.cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVecInto shape mismatch %dx%d · %d", m.rows, m.cols, len(x))) //lint:allow hotpathalloc,panicguard shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
+		panic(fmt.Sprintf("linalg: MulVecInto shape mismatch %dx%d · %d", m.rows, m.cols, len(x))) //lint:allow effects shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
 	}
 	if m.rows != len(dst) {
-		panic(fmt.Sprintf("linalg: MulVecInto dst length %d != %d rows", len(dst), m.rows)) //lint:allow hotpathalloc,panicguard shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
+		panic(fmt.Sprintf("linalg: MulVecInto dst length %d != %d rows", len(dst), m.rows)) //lint:allow effects shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
 	}
 	for i := 0; i < m.rows; i++ {
 		s := 0.0
@@ -170,10 +170,10 @@ func (m *Matrix) MulVecInto(dst, x []float64) []float64 {
 // Transpose().MulVec(x) bit for bit.
 func (m *Matrix) MulTVecInto(dst, x []float64) []float64 {
 	if m.rows != len(x) {
-		panic(fmt.Sprintf("linalg: MulTVecInto shape mismatch %dx%dᵀ · %d", m.rows, m.cols, len(x))) //lint:allow hotpathalloc,panicguard shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
+		panic(fmt.Sprintf("linalg: MulTVecInto shape mismatch %dx%dᵀ · %d", m.rows, m.cols, len(x)))
 	}
 	if m.cols != len(dst) {
-		panic(fmt.Sprintf("linalg: MulTVecInto dst length %d != %d cols", len(dst), m.cols)) //lint:allow hotpathalloc,panicguard shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
+		panic(fmt.Sprintf("linalg: MulTVecInto dst length %d != %d cols", len(dst), m.cols))
 	}
 	for j := range dst {
 		dst[j] = 0
@@ -195,7 +195,7 @@ func (m *Matrix) MulTVecInto(dst, x []float64) []float64 {
 // construction of the MPC hot path is built on this kernel.
 func (m *Matrix) MulATAInto(dst *Matrix) *Matrix {
 	if dst.rows != m.cols || dst.cols != m.cols {
-		panic(fmt.Sprintf("linalg: MulATAInto dst shape %dx%d, want %dx%d", dst.rows, dst.cols, m.cols, m.cols)) //lint:allow hotpathalloc,panicguard shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
+		panic(fmt.Sprintf("linalg: MulATAInto dst shape %dx%d, want %dx%d", dst.rows, dst.cols, m.cols, m.cols)) //lint:allow effects shape guard: boxing only on the panic path, and a shape mismatch is a programmer error
 	}
 	dst.Zero()
 	n := m.cols
@@ -225,7 +225,7 @@ func (m *Matrix) Scale(s float64) *Matrix {
 // AddMatrix returns m + b as a new matrix.
 func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
 	if m.rows != b.rows || m.cols != b.cols {
-		panic("linalg: AddMatrix shape mismatch") //lint:allow panicguard shape guard; mismatched dimensions are a programmer error
+		panic("linalg: AddMatrix shape mismatch")
 	}
 	out := m.Clone()
 	for i := range out.data {

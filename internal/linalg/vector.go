@@ -5,7 +5,7 @@ import "math"
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch") //lint:allow panicguard shape guard; mismatched dimensions are a programmer error
+		panic("linalg: Dot length mismatch")
 	}
 	s := 0.0
 	for i := range a {
@@ -31,7 +31,7 @@ func NormInf(v []float64) float64 {
 // Axpy computes y ← y + alpha·x in place.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
-		panic("linalg: Axpy length mismatch") //lint:allow panicguard shape guard; mismatched dimensions are a programmer error
+		panic("linalg: Axpy length mismatch")
 	}
 	for i := range x {
 		y[i] += alpha * x[i]
@@ -41,7 +41,7 @@ func Axpy(alpha float64, x, y []float64) {
 // Sub returns a − b as a new vector.
 func Sub(a, b []float64) []float64 {
 	if len(a) != len(b) {
-		panic("linalg: Sub length mismatch") //lint:allow panicguard shape guard; mismatched dimensions are a programmer error
+		panic("linalg: Sub length mismatch")
 	}
 	out := make([]float64, len(a))
 	for i := range a {
@@ -71,7 +71,7 @@ func Clamp(v, lo, hi float64) float64 {
 // ClampVec clamps each element of x into [lo[i], hi[i]] in place.
 func ClampVec(x, lo, hi []float64) {
 	if len(x) != len(lo) || len(x) != len(hi) {
-		panic("linalg: ClampVec length mismatch") //lint:allow panicguard shape guard; mismatched boxes are a programmer error
+		panic("linalg: ClampVec length mismatch") //lint:allow effects shape guard; mismatched boxes are a programmer error
 	}
 	for i := range x {
 		x[i] = Clamp(x[i], lo[i], hi[i])

@@ -29,10 +29,18 @@ import (
 //
 // Certification covers the steady state of a valid run: facts and call
 // edges inside failure-path blocks (a block whose final statement
-// returns a non-nil error) are excluded, as are lines carrying the
-// sibling analyzers' audited exemptions (//lint:allow hotpathalloc for
-// deliberate amortized allocations, //lint:allow panicguard for audited
-// assertions, //lint:allow nodeterminism for declared clock access).
+// returns a non-nil error) are excluded, as are lines carrying an audited
+// //lint:allow effects exemption — a deliberate amortized allocation, an
+// assertion panic on a programmer error. Such an allow counts as used only
+// when the fact it drops sits in a function a root certifying that effect
+// reaches; the driver reports any other as stale.
+//
+// Heap allocations are the compiler's own verdict: the module is built
+// once with -gcflags=-m and every "escapes to heap" / "moved to heap"
+// site is attributed to the innermost enclosing function, so a certified
+// noalloc root proves its whole reach allocation-free, frame by frame.
+// The compiler reports an allocation inlined from a callee at the
+// caller's call line, so its exemption belongs on that line as well.
 //
 // Dynamic dispatch that is a deliberate contract boundary — an engine
 // invoking registered callbacks, a config hook — is declared with
@@ -127,6 +135,16 @@ type effectsAnalysis struct {
 	// absToName maps absolute paths back to the loader's file names
 	// (compiler diagnostics are absolute; fset positions may not be).
 	absToName map[string]string
+	// waived records the facts //lint:allow effects tokens dropped, to
+	// tell a used allow from a stale one once reach is known.
+	waived map[waiver]bool
+}
+
+// waiver is one effect an allow token dropped inside a node.
+type waiver struct {
+	tok  *allowToken
+	node *callgraph.Node
+	eff  callgraph.Effect
 }
 
 // newEffectsAnalysis parses the annotations, derives the intrinsic
@@ -141,6 +159,7 @@ func newEffectsAnalysis(mp *ModulePass) *effectsAnalysis {
 		facts:      make(map[*callgraph.Node][]callgraph.Fact),
 		tokenFiles: make(map[string]*token.File),
 		absToName:  make(map[string]string),
+		waived:     make(map[waiver]bool),
 	}
 	for _, pkg := range mp.Packages {
 		for _, f := range pkg.Files {
@@ -320,41 +339,43 @@ func (ea *effectsAnalysis) cutEdge(e *callgraph.Edge) bool {
 }
 
 // collectFacts derives every node's intrinsic facts: compiler-reported
-// heap escapes (minus //lint:allow hotpathalloc lines and failure
-// spans) and the syntactic panic/block/spawn sources of the node's own
-// frame. Returns false if escape analysis failed (reported).
+// heap escapes (minus //lint:allow effects lines and failure spans) and
+// the syntactic panic/block/spawn sources of the node's own frame.
+// Returns false if escape analysis failed (reported).
 func (ea *effectsAnalysis) collectFacts() bool {
-	// Node span index for attributing compiler positions.
+	// Node spans for attributing compiler positions: a site belongs to
+	// the innermost function whose source contains it. A function
+	// literal's own position is where the closure is built, so "func
+	// literal escapes to heap" belongs to the enclosing function.
 	type nodeSpan struct {
-		start, end int
-		node       *callgraph.Node
+		from, to token.Pos
+		node     *callgraph.Node
 	}
 	spans := make(map[string][]nodeSpan)
 	for _, n := range ea.graph.Nodes {
-		body := n.Body()
-		if body == nil {
+		if n.Body() == nil {
 			continue
 		}
-		var from, to token.Pos
-		switch {
-		case n.Decl != nil:
-			from, to = n.Decl.Pos(), n.Decl.End()
-		default:
-			from, to = n.Lit.Pos(), n.Lit.End()
+		span := nodeSpan{node: n}
+		if n.Decl != nil {
+			span.from, span.to = n.Decl.Pos(), n.Decl.End()
+		} else {
+			span.from, span.to = n.Lit.Pos()+1, n.Lit.End()
 		}
-		p := ea.fset.Position(from)
-		spans[p.Filename] = append(spans[p.Filename],
-			nodeSpan{start: p.Line, end: ea.fset.Position(to).Line, node: n})
+		file := ea.fset.Position(span.from).Filename
+		spans[file] = append(spans[file], span)
 	}
-	innermost := func(file string, line int) *callgraph.Node {
-		var best *callgraph.Node
-		bestSize := 1 << 30
-		for _, s := range spans[file] {
-			if line >= s.start && line <= s.end && s.end-s.start < bestSize {
-				best, bestSize = s.node, s.end-s.start
+	innermost := func(file string, pos token.Pos) *callgraph.Node {
+		var best *nodeSpan
+		for i, s := range spans[file] {
+			if pos >= s.from && pos < s.to && (best == nil || s.to-s.from < best.to-best.from) {
+				best = &spans[file][i]
 			}
 		}
-		return best
+		if best == nil {
+			return nil
+		}
+		return best.node
 	}
 
 	// Compiler escape facts, one escape run per build target.
@@ -372,20 +393,20 @@ func (ea *effectsAnalysis) collectFacts() bool {
 			if !loaded {
 				continue
 			}
-			pos := token.Position{Filename: fname, Line: site.line, Column: site.col}
-			if ea.mp.Allowed(pos, "hotpathalloc") {
-				continue
-			}
 			if ea.graph.FailureLine(fname, site.line) {
 				continue
 			}
-			node := innermost(fname, site.line)
+			pos := ea.posFor(fname, site.line, site.col)
+			node := innermost(fname, pos)
 			if node == nil {
 				continue // package-level initializer or unloaded file
 			}
+			if ea.waive(ea.fset.Position(pos), node, callgraph.Allocates) {
+				continue
+			}
 			ea.facts[node] = append(ea.facts[node], callgraph.Fact{
 				Effect: callgraph.Allocates,
-				Pos:    ea.posFor(fname, site.line),
+				Pos:    pos,
 				What:   "heap allocation (" + site.msg + ")",
 			})
 		}
@@ -403,25 +424,25 @@ func (ea *effectsAnalysis) collectFacts() bool {
 			case *ast.CallExpr:
 				if id, ok := ast.Unparen(v.Fun).(*ast.Ident); ok {
 					if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "panic" {
-						ea.addFact(node, v.Pos(), callgraph.Panics, "explicit panic", "panicguard")
+						ea.addFact(node, v.Pos(), callgraph.Panics, "explicit panic")
 					}
 				}
 			case *ast.SendStmt:
-				ea.addFact(node, v.Pos(), callgraph.Blocks, "channel send", "")
+				ea.addFact(node, v.Pos(), callgraph.Blocks, "channel send")
 			case *ast.UnaryExpr:
 				if v.Op == token.ARROW {
-					ea.addFact(node, v.Pos(), callgraph.Blocks, "channel receive", "")
+					ea.addFact(node, v.Pos(), callgraph.Blocks, "channel receive")
 				}
 			case *ast.SelectStmt:
-				ea.addFact(node, v.Pos(), callgraph.Blocks, "select", "")
+				ea.addFact(node, v.Pos(), callgraph.Blocks, "select")
 			case *ast.RangeStmt:
 				if t := pkg.Info.TypeOf(v.X); t != nil {
 					if _, isChan := t.Underlying().(*types.Chan); isChan {
-						ea.addFact(node, v.Pos(), callgraph.Blocks, "range over channel", "")
+						ea.addFact(node, v.Pos(), callgraph.Blocks, "range over channel")
 					}
 				}
 			case *ast.GoStmt:
-				ea.addFact(node, v.Pos(), callgraph.Spawns, "go statement", "")
+				ea.addFact(node, v.Pos(), callgraph.Spawns, "go statement")
 			}
 			return true
 		})
@@ -430,15 +451,22 @@ func (ea *effectsAnalysis) collectFacts() bool {
 }
 
 // addFact records one syntactic fact unless it sits in a failure span
-// or on a line carrying the named sibling analyzer's exemption.
-func (ea *effectsAnalysis) addFact(n *callgraph.Node, pos token.Pos, eff callgraph.Effect, what, allowName string) {
-	if ea.graph.FailurePos(pos) {
-		return
-	}
-	if allowName != "" && ea.mp.Allowed(ea.fset.Position(pos), allowName) {
+// or on a //lint:allow effects line.
+func (ea *effectsAnalysis) addFact(n *callgraph.Node, pos token.Pos, eff callgraph.Effect, what string) {
+	if ea.graph.FailurePos(pos) || ea.waive(ea.fset.Position(pos), n, eff) {
 		return
 	}
 	ea.facts[n] = append(ea.facts[n], callgraph.Fact{Effect: eff, Pos: pos, What: what})
+}
+
+// waive reports whether a //lint:allow effects token covers pos and, if
+// so, records the effect it drops inside n.
+func (ea *effectsAnalysis) waive(pos token.Position, n *callgraph.Node, eff callgraph.Effect) bool {
+	tok := ea.mp.allowAt(pos)
+	if tok != nil {
+		ea.waived[waiver{tok: tok, node: n, eff: eff}] = true
+	}
+	return tok != nil
 }
 
 // escapeTarget is one `go build -gcflags=-m` invocation.
@@ -472,13 +500,14 @@ func (ea *effectsAnalysis) escapeTargets() []escapeTarget {
 	return out
 }
 
-// posFor reconstructs a token.Pos for a compiler-reported file:line.
-func (ea *effectsAnalysis) posFor(file string, line int) token.Pos {
+// posFor reconstructs a token.Pos for a compiler-reported
+// file:line:col (columns count bytes, as token positions do).
+func (ea *effectsAnalysis) posFor(file string, line, col int) token.Pos {
 	tf := ea.tokenFiles[file]
 	if tf == nil || line < 1 || line > tf.LineCount() {
 		return token.NoPos
 	}
-	return tf.LineStart(line)
+	return tf.LineStart(line) + token.Pos(col-1)
 }
 
 // inspectFrame walks one function's own frame: nested function literals
@@ -549,13 +578,19 @@ var externalExact = map[string]callgraph.Effect{
 	"os.Getenv":    callgraph.WallClock,
 	"os.LookupEnv": callgraph.WallClock,
 
-	// Varint codec entry points the colfmt encoders sit on. AppendUvarint
-	// only grows its destination slice (alloc on growth, never a panic);
-	// Uvarint reports malformed input through a non-positive length, not a
-	// panic. PutUvarint keeps the package default: it indexes a
-	// caller-sized buffer and does panic when it is short.
-	"encoding/binary.AppendUvarint": callgraph.Allocates,
+	// Append-style encoders only grow their destination slice, which is
+	// what the builtin append does too: no effect once the caller's
+	// buffer has reached its working size (the colfmt and serve
+	// steady-state alloc gates pin that at run time). Uvarint reports
+	// malformed input through a non-positive length; PutUvarint writes
+	// into a caller-sized buffer and panics only when it is short.
+	"encoding/binary.AppendUvarint": 0,
 	"encoding/binary.Uvarint":       0,
+	"encoding/binary.PutUvarint":    callgraph.Panics,
+	"strconv.AppendFloat":           0,
+	"strconv.AppendInt":             0,
+	"strconv.AppendUint":            0,
+	"strconv.AppendQuote":           0,
 
 	// Methods on an explicitly-seeded *rand.Rand are deterministic; only
 	// the package-level functions draw from the global source (see the
@@ -599,8 +634,8 @@ var externalPkgDefault = map[string]callgraph.Effect{
 	"math/rand/v2": callgraph.WallClock | callgraph.Allocates,
 }
 
-// externalEffect models one external callee edge, honoring the sibling
-// analyzers' line exemptions exactly as intrinsic facts do.
+// externalEffect models one external callee edge, honoring
+// //lint:allow effects lines exactly as intrinsic facts do.
 func (ea *effectsAnalysis) externalEffect(e *callgraph.Edge) callgraph.Effect {
 	eff, known := externalExact[e.External]
 	if !known {
@@ -609,18 +644,8 @@ func (ea *effectsAnalysis) externalEffect(e *callgraph.Edge) callgraph.Effect {
 	if !known {
 		eff = callgraph.Allocates | callgraph.Panics
 	}
-	if eff == 0 {
+	if eff != 0 && ea.waive(ea.fset.Position(e.Pos), e.Caller, eff) {
 		return 0
-	}
-	pos := ea.fset.Position(e.Pos)
-	if eff&callgraph.Allocates != 0 && ea.mp.Allowed(pos, "hotpathalloc") {
-		eff &^= callgraph.Allocates
-	}
-	if eff&callgraph.WallClock != 0 && ea.mp.Allowed(pos, "nodeterminism") {
-		eff &^= callgraph.WallClock
-	}
-	if eff&callgraph.Panics != 0 && ea.mp.Allowed(pos, "panicguard") {
-		eff &^= callgraph.Panics
 	}
 	return eff
 }
@@ -655,41 +680,64 @@ func (ea *effectsAnalysis) check() {
 		}
 	}
 
-	// Unresolved dynamic calls on certified paths are hard errors.
+	// Unresolved dynamic calls on certified paths are hard errors. An
+	// allow earns its keep where a root certifying the effect it waives
+	// reaches the fact.
 	reported := make(map[token.Pos]bool)
 	for _, root := range ea.roots {
 		reach := ea.prop.Reachable([]*callgraph.Node{root.node})
-		for _, u := range ea.graph.Unresolved {
-			if u.FailurePath || !reach[u.Caller] || reported[u.Pos] {
-				continue
+		for w := range ea.waived {
+			if reach[w.node] && w.eff&root.want != 0 {
+				w.tok.used = true
 			}
-			if ea.hookpointAt(u.Pos) != nil {
-				continue
+		}
+		for _, u := range ea.unresolvedIn(reach) {
+			if !reported[u.Pos] {
+				reported[u.Pos] = true
+				ea.mp.Reportf(u.Pos, "unresolved %s in %s, reachable from certified %s; resolve it, declare a //lint:hookpoint boundary, or waive with //lint:allow effects",
+					u.Reason, u.Caller.Name(), root.node.Name())
 			}
-			reported[u.Pos] = true
-			ea.mp.Reportf(u.Pos, "unresolved %s in %s, reachable from certified %s; resolve it, declare a //lint:hookpoint boundary, or waive with //lint:allow effects",
-				u.Reason, u.Caller.Name(), root.node.Name())
 		}
 	}
 
 	// A hookpoint that cuts nothing is stale.
-	var unused []*hookpoint
+	for _, h := range ea.sortedHooks() {
+		if !h.used {
+			ea.mp.ReportAt(h.pos, "//lint:hookpoint matches no call edge; move it to the dispatch line or remove it")
+		}
+	}
+}
+
+// unresolvedIn returns the unresolved dynamic calls inside reach that no
+// failure path or hookpoint excuses, one per call position.
+func (ea *effectsAnalysis) unresolvedIn(reach map[*callgraph.Node]bool) []callgraph.Unresolved {
+	var out []callgraph.Unresolved
+	seen := make(map[token.Pos]bool)
+	for _, u := range ea.graph.Unresolved {
+		if u.FailurePath || !reach[u.Caller] || seen[u.Pos] || ea.hookpointAt(u.Pos) != nil {
+			continue
+		}
+		seen[u.Pos] = true
+		out = append(out, u)
+	}
+	return out
+}
+
+// sortedHooks returns every hookpoint in file and line order.
+func (ea *effectsAnalysis) sortedHooks() []*hookpoint {
+	var hooks []*hookpoint
 	for _, lines := range ea.hooks {
 		for _, h := range lines {
-			if !h.used {
-				unused = append(unused, h)
-			}
+			hooks = append(hooks, h)
 		}
 	}
-	sort.Slice(unused, func(i, j int) bool {
-		if unused[i].pos.Filename != unused[j].pos.Filename {
-			return unused[i].pos.Filename < unused[j].pos.Filename
+	sort.Slice(hooks, func(i, j int) bool {
+		if hooks[i].pos.Filename != hooks[j].pos.Filename {
+			return hooks[i].pos.Filename < hooks[j].pos.Filename
 		}
-		return unused[i].pos.Line < unused[j].pos.Line
+		return hooks[i].pos.Line < hooks[j].pos.Line
 	})
-	for _, h := range unused {
-		ea.mp.ReportAt(h.pos, "//lint:hookpoint matches no call edge; move it to the dispatch line or remove it")
-	}
+	return hooks
 }
 
 // explainString renders an explanation as a call chain ending at the
@@ -725,7 +773,7 @@ func (ea *effectsAnalysis) explainString(expl *callgraph.Explanation) string {
 func EffectsReport(pkgs []*Package) (string, []Diagnostic, error) {
 	allow := make(allowSet)
 	for _, pkg := range pkgs {
-		collectAllowsInto(allow, pkg.Fset, pkg.Files)
+		collectAllows(allow, pkg.Fset, pkg.Files) // hygiene is the lint run's job
 	}
 	var diags []Diagnostic
 	mp := &ModulePass{
@@ -759,36 +807,12 @@ func EffectsReport(pkgs []*Package) (string, []Diagnostic, error) {
 		fmt.Fprintf(&b, "  %-40s certify %-32s %s\n", root.node.Name(), contractNames(root.want), verdict)
 
 		reach := ea.prop.Reachable([]*callgraph.Node{root.node})
-		unresolved := 0
-		seenUnres := make(map[token.Pos]bool)
-		for _, u := range ea.graph.Unresolved {
-			if u.FailurePath || !reach[u.Caller] || seenUnres[u.Pos] {
-				continue
-			}
-			if ea.hookpointAt(u.Pos) != nil {
-				continue
-			}
-			seenUnres[u.Pos] = true
-			unresolved++
-		}
 		residual := got &^ root.want
 		fmt.Fprintf(&b, "  %-40s reaches %d functions, %d unresolved edges; residual effects: %s\n",
-			"", len(reach), unresolved, residual.String())
+			"", len(reach), len(ea.unresolvedIn(reach)), residual.String())
 	}
 
-	var hooks []*hookpoint
-	for _, lines := range ea.hooks {
-		for _, h := range lines {
-			hooks = append(hooks, h)
-		}
-	}
-	sort.Slice(hooks, func(i, j int) bool {
-		if hooks[i].pos.Filename != hooks[j].pos.Filename {
-			return hooks[i].pos.Filename < hooks[j].pos.Filename
-		}
-		return hooks[i].pos.Line < hooks[j].pos.Line
-	})
-	if len(hooks) > 0 {
+	if hooks := ea.sortedHooks(); len(hooks) > 0 {
 		b.WriteString("hookpoint boundaries\n")
 		for _, h := range hooks {
 			fmt.Fprintf(&b, "  %s:%d: %s\n", h.pos.Filename, h.pos.Line, h.reason)

@@ -18,8 +18,11 @@
 //
 //	//lint:allow <analyzer> [reason]
 //
-// placed on the offending line or on the line directly above it. Multiple
-// analyzers may be listed separated by commas.
+// placed on the offending line or on the line directly above it (the
+// same-line annotation is matched first). Multiple analyzers may be listed
+// separated by commas. A run of the whole suite reports every listed
+// analyzer name that suppressed nothing, so an exception cannot outlive
+// the code it excused.
 package lint
 
 import (
@@ -27,6 +30,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -49,7 +53,6 @@ type Pass struct {
 	Pkg     *types.Package
 	Info    *types.Info
 	PkgPath string
-	Dir     string
 
 	analyzer *Analyzer
 	report   func(Diagnostic)
@@ -59,19 +62,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Pos:      p.Fset.Position(pos),
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportAt records a diagnostic at an externally-computed position — the
-// path used when the source of truth is not a syntax node (e.g. a compiler
-// diagnostic re-attributed by hotpathalloc). The position's Filename must
-// match the file's name in the pass's FileSet so //lint:allow annotations
-// on that line apply as usual.
-func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      pos,
 		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -102,7 +92,6 @@ func All() []*Analyzer {
 		Unitsafe,
 		OwnedBuf,
 		ResetComplete,
-		HotPathAlloc,
 		Effects,
 		ParSafe,
 	}
@@ -131,66 +120,67 @@ func ByName(names []string) ([]*Analyzer, error) {
 // dropped. Module-scoped analyzers see the single package as a
 // one-package module — the fixture-testing path.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	out, _ := RunModule([]*Package{pkg}, analyzers)
-	return out
+	return RunModule([]*Package{pkg}, analyzers)
 }
 
-// allowSet records, per file and line, which analyzers are suppressed.
-type allowSet map[string]map[int]map[string]bool
+// fullSuite reports whether analyzers is the whole suite, the condition
+// under which an allow that suppressed nothing is known to be stale.
+func fullSuite(analyzers []*Analyzer) bool {
+	ran := make(map[string]bool)
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for _, a := range All() {
+		if !ran[a.Name] {
+			return false
+		}
+	}
+	return true
+}
 
 const allowPrefix = "lint:allow"
 
-// collectAllows scans every comment for //lint:allow annotations.
-func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
-	set := make(allowSet)
-	collectAllowsInto(set, fset, files)
-	return set
+// allowToken is one analyzer name of one //lint:allow annotation, and
+// whether it has suppressed anything yet.
+type allowToken struct {
+	pos  token.Position
+	name string
+	used bool
 }
 
-// collectAllowsInto merges one package's annotations into an existing
-// set — the module-wide accumulation path.
-func collectAllowsInto(set allowSet, fset *token.FileSet, files []*ast.File) {
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, allowPrefix) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, allowPrefix))
-				// First whitespace-delimited token is the analyzer list;
-				// anything after it is a free-form reason.
-				names := rest
-				if i := strings.IndexAny(rest, " \t"); i >= 0 {
-					names = rest[:i]
-				}
-				pos := fset.Position(c.Pos())
-				lines := set[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					set[pos.Filename] = lines
-				}
-				byName := lines[pos.Line]
-				if byName == nil {
-					byName = make(map[string]bool)
-					lines[pos.Line] = byName
-				}
-				for _, n := range strings.Split(names, ",") {
-					if n = strings.TrimSpace(n); n != "" {
-						byName[n] = true
-					}
-				}
-			}
+// allowSet indexes allow tokens by file and line.
+type allowSet map[string]fileAllows
+
+// fileAllows indexes one file's allow tokens by line.
+type fileAllows map[int][]*allowToken
+
+// parseAllow splits a //lint:allow comment into its comma-separated
+// analyzer names and the free-form reason after them.
+func parseAllow(c *ast.Comment) (names []string, reason string, ok bool) {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	if !strings.HasPrefix(text, allowPrefix) {
+		return nil, "", false
+	}
+	rest := strings.TrimSpace(strings.TrimPrefix(text, allowPrefix))
+	list := rest
+	if i := strings.IndexAny(rest, " \t"); i >= 0 {
+		list, reason = rest[:i], strings.TrimSpace(rest[i+1:])
+	}
+	for _, n := range strings.Split(list, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
 		}
 	}
+	return names, reason, true
 }
 
-// allowHygiene vets every //lint:allow annotation: each must name only
-// known analyzers (or "all") and carry a non-empty justification. A bare
-// allow silently widens the escape hatch, so the driver rejects it — these
-// diagnostics bypass allow filtering (an allow cannot vouch for itself).
-func allowHygiene(fset *token.FileSet, files []*ast.File) []Diagnostic {
+// collectAllows merges one package's annotations into the set and vets
+// each: it must name only known analyzers (or "all") and carry a
+// non-empty justification. A bare allow silently widens the escape hatch,
+// so the driver rejects it — these diagnostics bypass allow filtering (an
+// allow cannot vouch for itself). A token already present (the test-file
+// pass re-reads the package's non-test files) keeps its usage.
+func collectAllows(set allowSet, fset *token.FileSet, files []*ast.File) []Diagnostic {
 	known := map[string]bool{"all": true}
 	for _, a := range All() {
 		known[a.Name] = true
@@ -199,14 +189,9 @@ func allowHygiene(fset *token.FileSet, files []*ast.File) []Diagnostic {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, allowPrefix) {
+				names, reason, ok := parseAllow(c)
+				if !ok {
 					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, allowPrefix))
-				names, reason := rest, ""
-				if i := strings.IndexAny(rest, " \t"); i >= 0 {
-					names, reason = rest[:i], strings.TrimSpace(rest[i+1:])
 				}
 				pos := fset.Position(c.Pos())
 				if reason == "" {
@@ -216,13 +201,21 @@ func allowHygiene(fset *token.FileSet, files []*ast.File) []Diagnostic {
 						Message:  "bare //lint:allow without a justification; state why the exception is safe",
 					})
 				}
-				for _, n := range strings.Split(names, ",") {
-					if n = strings.TrimSpace(n); n != "" && !known[n] {
+				lines := set[pos.Filename]
+				if lines == nil {
+					lines = make(fileAllows)
+					set[pos.Filename] = lines
+				}
+				for _, n := range names {
+					switch {
+					case !known[n]:
 						out = append(out, Diagnostic{
 							Pos:      pos,
 							Analyzer: "allow",
 							Message:  fmt.Sprintf("//lint:allow names unknown analyzer %q", n),
 						})
+					case lines.at(pos.Line, n) == nil:
+						lines[pos.Line] = append(lines[pos.Line], &allowToken{pos: pos, name: n})
 					}
 				}
 			}
@@ -231,17 +224,59 @@ func allowHygiene(fset *token.FileSet, files []*ast.File) []Diagnostic {
 	return out
 }
 
-// allows reports whether an annotation on the diagnostic's line or the line
-// directly above suppresses the named analyzer.
-func (s allowSet) allows(pos token.Position, analyzer string) bool {
-	lines := s[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if byName := lines[line]; byName != nil && (byName[analyzer] || byName["all"]) {
-			return true
+// at returns the token on line naming exactly name.
+func (lines fileAllows) at(line int, name string) *allowToken {
+	for _, t := range lines[line] {
+		if t.name == name {
+			return t
 		}
 	}
-	return false
+	return nil
+}
+
+// match returns the token that covers a diagnostic of the named analyzer
+// at pos, without marking it used: one on the diagnostic's own line
+// first, else one on the line directly above.
+func (s allowSet) match(pos token.Position, analyzer string) *allowToken {
+	lines := s[pos.Filename]
+	for _, line := range []int{pos.Line, pos.Line - 1} {
+		if t := lines.at(line, analyzer); t != nil {
+			return t
+		}
+		if t := lines.at(line, "all"); t != nil {
+			return t
+		}
+	}
+	return nil
+}
+
+// allows reports whether an annotation covers the diagnostic, marking
+// the covering token used.
+func (s allowSet) allows(pos token.Position, analyzer string) bool {
+	t := s.match(pos, analyzer)
+	if t != nil {
+		t.used = true
+	}
+	return t != nil
+}
+
+// stale reports every token that suppressed nothing. Like hygiene
+// diagnostics, these bypass allow filtering.
+func (s allowSet) stale() []Diagnostic {
+	var out []Diagnostic
+	for _, lines := range s {
+		for _, toks := range lines {
+			for _, t := range toks {
+				if !t.used {
+					out = append(out, Diagnostic{
+						Pos:      t.pos,
+						Analyzer: "allow",
+						Message:  fmt.Sprintf("//lint:allow %s suppresses nothing; remove it", t.name),
+					})
+				}
+			}
+		}
+	}
+	slices.SortFunc(out, compareDiagnostics)
+	return out
 }

@@ -1,18 +1,20 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/token"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"github.com/autoe2e/autoe2e/internal/lint/callgraph"
 )
 
-// Timing is one analyzer's wall-clock cost over a lint run, surfaced by
-// the driver so `make lint` can print per-analyzer times and enforce the
-// CI budget.
+// Timing is the wall-clock cost of one step of a lint run — a load or an
+// analyzer — surfaced by the driver so `make lint` can print it and
+// enforce the CI budget.
 type Timing struct {
 	Analyzer string
 	Elapsed  time.Duration
@@ -55,13 +57,12 @@ func (p *ModulePass) ReportAt(pos token.Position, format string, args ...any) {
 	})
 }
 
-// Allowed reports whether a //lint:allow annotation for the named
-// analyzer covers pos (same line or the line above). Module analyzers
-// use it to honor sibling analyzers' exemptions when deriving facts —
-// a //lint:allow hotpathalloc line is a deliberate allocation and must
-// not fail a noalloc certification either.
-func (p *ModulePass) Allowed(pos token.Position, analyzer string) bool {
-	return p.allow.allows(pos, analyzer)
+// allowAt returns the //lint:allow token naming this analyzer that
+// covers pos (same line, else the line above), without marking it used:
+// a module analyzer that drops a fact on an allowed line decides itself
+// when the allow has earned its keep.
+func (p *ModulePass) allowAt(pos token.Position) *allowToken {
+	return p.allow.match(pos, p.analyzer.Name)
 }
 
 // Graph returns the whole-module call graph, built on first use and
@@ -84,17 +85,29 @@ func (p *ModulePass) Graph() *callgraph.Graph {
 }
 
 // RunModule applies each analyzer to the module and returns the
-// surviving diagnostics (sorted by position) plus per-analyzer wall
-// times. Per-package analyzers run once per package; module analyzers
-// (Analyzer.RunModule) run once over all packages. //lint:allow
-// annotations are merged module-wide, and allow hygiene runs once per
-// package as usual.
-func RunModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
+// surviving diagnostics, sorted by position. Per-package analyzers run
+// once per package; module analyzers (Analyzer.RunModule) run once over
+// all packages. //lint:allow annotations are merged module-wide, and
+// allow hygiene runs once per package as usual. When analyzers is the
+// whole suite, every allow token that suppressed nothing is reported as
+// stale.
+func RunModule(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	allow := make(allowSet)
+	out, _ := runModule(pkgs, analyzers, allow)
+	if fullSuite(analyzers) {
+		out = append(out, allow.stale()...)
+	}
+	slices.SortFunc(out, compareDiagnostics)
+	return out
+}
+
+// runModule is RunModule over a caller-held allow set, unsorted and with
+// per-analyzer wall times, so the module and test-file passes of one Lint
+// run share allow usage.
+func runModule(pkgs []*Package, analyzers []*Analyzer, allow allowSet) ([]Diagnostic, []Timing) {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		collectAllowsInto(allow, pkg.Fset, pkg.Files)
-		out = append(out, allowHygiene(pkg.Fset, pkg.Files)...)
+		out = append(out, collectAllows(allow, pkg.Fset, pkg.Files)...)
 	}
 	report := func(d Diagnostic) {
 		if allow.allows(d.Pos, d.Analyzer) {
@@ -106,44 +119,125 @@ func RunModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) 
 	shared := &moduleShared{}
 	timings := make([]Timing, 0, len(analyzers))
 	for _, a := range analyzers {
-		start := time.Now() //lint:allow nodeterminism tooling wall-time measurement, not simulation state
-		if a.RunModule != nil {
-			a.RunModule(&ModulePass{
-				Packages: pkgs,
-				analyzer: a,
-				report:   report,
-				allow:    allow,
-				shared:   shared,
-			})
-		} else if a.Run != nil {
+		elapsed := timed(func() {
+			if a.RunModule != nil {
+				a.RunModule(&ModulePass{
+					Packages: pkgs,
+					analyzer: a,
+					report:   report,
+					allow:    allow,
+					shared:   shared,
+				})
+				return
+			}
 			for _, pkg := range pkgs {
-				pass := &Pass{
+				a.Run(&Pass{
 					Fset:     pkg.Fset,
 					Files:    pkg.Files,
 					Pkg:      pkg.Pkg,
 					Info:     pkg.Info,
 					PkgPath:  pkg.Path,
-					Dir:      pkg.Dir,
 					analyzer: a,
 					report:   report,
-				}
-				a.Run(pass)
+				})
+			}
+		})
+		timings = append(timings, Timing{Analyzer: a.Name, Elapsed: elapsed})
+	}
+	return out, timings
+}
+
+// testFileAnalyzers names the analyzers that also run over _test.go
+// files: tests compare floats and iterate maps as readily as product
+// code, and a nondeterministic assertion is a flaky test.
+var testFileAnalyzers = map[string]bool{"mapiter": true, "floateq": true}
+
+// Result is one Lint run.
+type Result struct {
+	Diagnostics []Diagnostic
+	// Timings lists the module load, each analyzer, the test-file load
+	// and the test-file pass, in run order.
+	Timings []Timing
+	// Packages counts the module's non-test packages.
+	Packages int
+}
+
+// Lint checks the module rooted at root: it loads the non-test packages
+// and runs the analyzers over them, then loads the _test.go files on the
+// same Loader — so the standard library is type-checked once — and runs
+// the test-file analyzers among them over those. Diagnostics the
+// test-file pass makes on non-test files repeat the first pass and are
+// dropped. When analyzers is the whole suite, an allow token that
+// suppressed nothing in either pass is reported as stale.
+func Lint(root string, analyzers []*Analyzer) (*Result, error) {
+	l := NewLoader()
+	var pkgs []*Package
+	var err error
+	res := &Result{Timings: []Timing{{Analyzer: "load(module)", Elapsed: timed(func() {
+		pkgs, err = l.LoadModule(root)
+	})}}}
+	if err != nil {
+		return nil, err
+	}
+	res.Packages = len(pkgs)
+	allow := make(allowSet)
+	diags, timings := runModule(pkgs, analyzers, allow)
+	res.Timings = append(res.Timings, timings...)
+
+	var testAnalyzers []*Analyzer
+	for _, a := range analyzers {
+		if testFileAnalyzers[a.Name] {
+			testAnalyzers = append(testAnalyzers, a)
+		}
+	}
+	if len(testAnalyzers) > 0 {
+		var testPkgs []*Package
+		res.Timings = append(res.Timings, Timing{Analyzer: "load(tests)", Elapsed: timed(func() {
+			testPkgs, err = l.LoadModuleTests(root)
+		})})
+		if err != nil {
+			return nil, err
+		}
+		var testDiags []Diagnostic
+		res.Timings = append(res.Timings, Timing{Analyzer: "tests(mapiter,floateq)", Elapsed: timed(func() {
+			testDiags, _ = runModule(testPkgs, testAnalyzers, allow)
+		})})
+		for _, d := range testDiags {
+			if strings.HasSuffix(d.Pos.Filename, "_test.go") {
+				diags = append(diags, d)
 			}
 		}
-		timings = append(timings, Timing{Analyzer: a.Name, Elapsed: time.Since(start)}) //lint:allow nodeterminism tooling wall-time measurement, not simulation state
 	}
+	if fullSuite(analyzers) {
+		diags = append(diags, allow.stale()...)
+	}
+	slices.SortFunc(diags, compareDiagnostics)
+	res.Diagnostics = diags
+	return res, nil
+}
 
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
-		}
-		if out[i].Pos.Line != out[j].Pos.Line {
-			return out[i].Pos.Line < out[j].Pos.Line
-		}
-		if out[i].Pos.Column != out[j].Pos.Column {
-			return out[i].Pos.Column < out[j].Pos.Column
-		}
-		return out[i].Analyzer < out[j].Analyzer
-	})
-	return out, timings
+// timed returns fn's wall time: the lint run's own cost, not simulation
+// state.
+func timed(fn func()) time.Duration {
+	start := time.Now() //lint:allow nodeterminism tooling wall-time measurement, not simulation state
+	fn()
+	return time.Since(start) //lint:allow nodeterminism tooling wall-time measurement, not simulation state
+}
+
+// compareDiagnostics orders diagnostics by position, then analyzer and
+// message, so every run prints them in one order.
+func compareDiagnostics(a, b Diagnostic) int {
+	if c := cmp.Compare(a.Pos.Filename, b.Pos.Filename); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Pos.Line, b.Pos.Line); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Pos.Column, b.Pos.Column); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Analyzer, b.Analyzer); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Message, b.Message)
 }

@@ -1,5 +1,5 @@
 // Basic certification contracts: intrinsic and transitive effects,
-// failure-path exclusion, and the sibling analyzers' line exemptions.
+// failure-path exclusion, and the //lint:allow effects line exemption.
 package fixture
 
 import "fmt"
@@ -58,6 +58,6 @@ var pool []byte
 //lint:certify noalloc // NEG: the deliberate allocation carries its exemption
 func pooled() {
 	if cap(pool) == 0 {
-		pool = make([]byte, 4096) //lint:allow hotpathalloc amortized warm-up growth, reused across ticks
+		pool = make([]byte, 4096) //lint:allow effects amortized warm-up growth, reused across ticks
 	}
 }

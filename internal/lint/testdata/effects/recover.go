@@ -31,7 +31,7 @@ func unsafeStep(x int) {
 
 func assertState(ready bool) {
 	if !ready {
-		panic("fixture: not ready") //lint:allow panicguard audited assertion, fires only on programmer error
+		panic("fixture: not ready") //lint:allow effects audited assertion, fires only on programmer error
 	}
 }
 

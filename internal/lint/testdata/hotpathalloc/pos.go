@@ -1,30 +1,45 @@
-// Positive cases: annotated functions whose bodies heap-allocate, plus a
-// stray marker that gates nothing.
+// Hot-path allocation, positive cases: a certified noalloc root fails on
+// any site the compiler's escape analysis (go build -gcflags=-m) moves to
+// the heap, and effects names the compiler's verdict for that site.
 package fixture
+
+import "encoding/binary"
 
 var sink *int
 
-// escapes leaks its allocation through a package variable.
-//
-//lint:noalloc
+//lint:certify noalloc // want "new(int) escapes to heap"
 func escapes() {
-	p := new(int) // want "heap allocation in //lint:noalloc function escapes"
+	p := new(int)
 	sink = p
 }
 
-//lint:noalloc
+//lint:certify noalloc // want "make([]int, n) escapes to heap"
 func grows(n int) []int {
-	return make([]int, n) // want "escapes to heap"
+	return make([]int, n)
 }
 
-//lint:noalloc
+//lint:certify noalloc // want "moved to heap: i"
 func closure() func() int {
-	i := 0              // want "moved to heap"
-	return func() int { // want "func literal escapes"
+	i := 0
+	return func() int {
 		i++
 		return i
 	}
 }
 
-//lint:noalloc // want "stray"
-var boxed = new(int)
+// The closure object is built where the literal is evaluated, so its
+// allocation belongs to the enclosing root, not to the literal's body.
+//
+//lint:certify noalloc // want "func literal escapes to heap"
+func capture(x int) func() int {
+	return func() int { return x }
+}
+
+// PutUvarint into a buffer shorter than binary.MaxVarintLen64 may index
+// out of range.
+//
+//lint:certify nopanic // want "PutUvarint"
+func putLenShort(n uint64) int {
+	var buf [2]byte
+	return binary.PutUvarint(buf[:], n)
+}

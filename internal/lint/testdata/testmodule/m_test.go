@@ -5,7 +5,7 @@ package m
 // the comparison is the one floateq shape still flagged in tests.
 func checkExact() bool {
 	r := Rate()
-	if r != baseRate { // determinism pin: legal in a test file
+	if r != baseRate { //lint:allow floateq stale: a determinism pin is legal in a test file
 		return false
 	}
 	return r/2 == 2.5 // fresh arithmetic at the comparison: flagged

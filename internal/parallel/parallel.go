@@ -82,7 +82,7 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 	wg.Wait()
 	if panicked {
-		panic(panicVal) //lint:allow panicguard re-raises a worker panic on the caller goroutine; ForEach adds no failure mode of its own
+		panic(panicVal) //lint:allow effects re-raises a worker panic on the caller goroutine; ForEach adds no failure mode of its own
 	}
 }
 

@@ -139,8 +139,6 @@ func New(state *taskmodel.State, cfg Config) (*Controller, error) {
 
 // ObserveInner feeds one inner-period utilization sample to the saturation
 // detector. The coordinator calls it every inner control period.
-//
-//lint:noalloc
 func (o *Controller) ObserveInner(utils []units.Util) {
 	o.det.Observe(utils, o.state.System().UtilBound)
 }
@@ -168,12 +166,10 @@ type Result struct {
 
 // Step runs one outer control period. utils are the latest settled
 // utilization measurements (one per ECU).
-//
-//lint:noalloc
 func (o *Controller) Step(utils []units.Util) (Result, error) {
 	sys := o.state.System()
 	if len(utils) != sys.NumECUs {
-		return Result{}, fmt.Errorf("precision: got %d utilizations, want %d", len(utils), sys.NumECUs) //lint:allow hotpathalloc dimension-error path, never taken in a valid run
+		return Result{}, fmt.Errorf("precision: got %d utilizations, want %d", len(utils), sys.NumECUs)
 	}
 	res := o.res
 	res.RestoreRound, res.RestoreDone = 0, false
@@ -263,8 +259,6 @@ func (o *Controller) Step(utils []units.Util) (Result, error) {
 // toward its floor (line 1) and refill the resulting headroom with
 // precision (line 2). The inner loop then re-settles utilizations with the
 // new execution times (line 3).
-//
-//lint:noalloc
 func (o *Controller) runRestoreRound(res *Result) {
 	o.restoreRoundCount++
 	res.RestoreRound = o.restoreRoundCount
@@ -286,11 +280,9 @@ func (o *Controller) runRestoreRound(res *Result) {
 // pinned at its rate floor (within a small relative tolerance): the
 // condition under which the inner loop cannot reduce the ECU's utilization
 // any further.
-//
-//lint:noalloc
 func (o *Controller) ratesSaturatedOn(j int) bool {
 	seen := false
-	for _, ref := range o.state.System().OnECU(j) { //lint:allow hotpathalloc System.OnECU builds its index once, then serves the cache
+	for _, ref := range o.state.System().OnECU(j) { //lint:allow effects System.OnECU builds its index once, then serves the cache
 		seen = true
 		if !o.state.RateSaturated(ref.Task, 0.02) {
 			return false
@@ -301,8 +293,6 @@ func (o *Controller) ratesSaturatedOn(j int) bool {
 
 // floorsDropped reports whether any task's rate floor fell by more than the
 // configured leeway since the last outer period.
-//
-//lint:noalloc
 func (o *Controller) floorsDropped() bool {
 	for i := range o.prevFloors {
 		cur := o.state.RateFloor(taskmodel.TaskID(i))
@@ -318,8 +308,6 @@ func (o *Controller) floorsDropped() bool {
 // idles, and the floor snapshot is retaken. Callers must put the State
 // into its run-start condition first — Reset observes it exactly as New
 // does at construction.
-//
-//lint:noalloc
 func (o *Controller) Reset() {
 	o.det.ResetAll()
 	o.phase = restoreIdle
@@ -330,8 +318,6 @@ func (o *Controller) Reset() {
 
 // snapshotFloors records the rate floors seen this outer period so the next
 // Step can detect fresh drops.
-//
-//lint:noalloc
 func (o *Controller) snapshotFloors() {
 	for i := range o.prevFloors {
 		o.prevFloors[i] = o.state.RateFloor(taskmodel.TaskID(i))

@@ -28,8 +28,6 @@ func NewDetector(n int, threshold units.Util, needed int) *Detector {
 
 // Observe records one inner-period utilization sample per ECU against the
 // bounds. A sample at or below bound+threshold resets that ECU's streak.
-//
-//lint:noalloc
 func (d *Detector) Observe(utils, bounds []units.Util) {
 	for j := range d.counts {
 		if utils[j] > bounds[j]+d.threshold {
@@ -51,14 +49,10 @@ func (d *Detector) Saturated() []bool {
 
 // SaturatedAt reports whether ECU j has latched saturation. It is the
 // per-index, non-allocating form of Saturated for the outer hot path.
-//
-//lint:noalloc
 func (d *Detector) SaturatedAt(j int) bool { return d.counts[j] >= d.needed }
 
 // StronglySaturatedAt reports whether ECU j has violated for three times
 // the latch requirement; the per-index form of StronglySaturated.
-//
-//lint:noalloc
 func (d *Detector) StronglySaturatedAt(j int) bool { return d.counts[j] >= 3*d.needed }
 
 // StronglySaturated reports which ECUs have violated their bounds for three
@@ -76,14 +70,10 @@ func (d *Detector) StronglySaturated() []bool {
 
 // Reset clears one ECU's streak (called after the outer loop has acted on
 // it, so re-latching requires fresh evidence).
-//
-//lint:noalloc
 func (d *Detector) Reset(ecu int) { d.counts[ecu] = 0 }
 
 // ResetAll clears every ECU's saturation streak, returning the detector to
 // its freshly-constructed state.
-//
-//lint:noalloc
 func (d *Detector) ResetAll() {
 	for j := range d.counts {
 		d.counts[j] = 0

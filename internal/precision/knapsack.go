@@ -44,12 +44,10 @@ type Workspace struct {
 // collect gathers the adjustable subtasks of ECU j with their knapsack
 // coefficients into the reused item buffer. decrease selects the
 // direction headroom is measured in.
-//
-//lint:noalloc
 func (w *Workspace) collect(st *taskmodel.State, ecu int, decrease bool) []ratioItem {
 	sys := st.System()
 	out := w.items[:0]
-	for _, ref := range sys.OnECU(ecu) { //lint:allow hotpathalloc System.OnECU builds its index once, then serves the cache
+	for _, ref := range sys.OnECU(ecu) { //lint:allow effects System.OnECU builds its index once, then serves the cache
 		sub := sys.Subtask(ref)
 		if !sub.Adjustable() {
 			continue
@@ -82,8 +80,6 @@ func (w *Workspace) collect(st *taskmodel.State, ecu int, decrease bool) []ratio
 // and unlike sort.SliceStable it allocates nothing. Stability makes the
 // result the unique stable permutation, so ties still resolve by task
 // order exactly as before.
-//
-//lint:noalloc
 func sortByDensity(list []ratioItem, descending bool) {
 	for i := 1; i < len(list); i++ {
 		it := list[i]
@@ -99,8 +95,6 @@ func sortByDensity(list []ratioItem, descending bool) {
 // densityBefore reports whether a sorts strictly before b, comparing the
 // profit densities cross-multiplied (a.profit/a.cost vs b.profit/b.cost
 // without the division).
-//
-//lint:noalloc
 func densityBefore(a, b ratioItem, descending bool) bool {
 	if descending {
 		return a.profit*b.cost > b.profit*a.cost
@@ -121,8 +115,6 @@ func ReduceRatios(st *taskmodel.State, ecu int, reclaim units.Util) units.Util {
 
 // ReduceRatios is the workspace form of the package-level ReduceRatios:
 // identical result, zero allocations once the item buffer has grown.
-//
-//lint:noalloc
 func (w *Workspace) ReduceRatios(st *taskmodel.State, ecu int, reclaim units.Util) units.Util {
 	if reclaim <= 0 {
 		return 0
@@ -166,8 +158,6 @@ func RestoreRatios(st *taskmodel.State, ecu int, budget units.Util) units.Util {
 
 // RestoreRatios is the workspace form of the package-level RestoreRatios:
 // identical result, zero allocations once the item buffer has grown.
-//
-//lint:noalloc
 func (w *Workspace) RestoreRatios(st *taskmodel.State, ecu int, budget units.Util) units.Util {
 	if budget <= 0 {
 		return 0

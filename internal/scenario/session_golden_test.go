@@ -95,12 +95,10 @@ func requireRunsIdentical(t *testing.T, label string, want, got observedRun) {
 		}
 	}
 	for i := range want.rates {
-		//lint:allow floateq identical closed loops must land on bit-identical rates
 		if want.rates[i] != got.rates[i] {
 			t.Fatalf("%s: final rate of task %d diverged: fresh %v, session %v", label, i, want.rates[i], got.rates[i])
 		}
 	}
-	//lint:allow floateq identical closed loops must land on bit-identical precision
 	if want.precision != got.precision {
 		t.Fatalf("%s: final total precision diverged: fresh %v, session %v", label, want.precision, got.precision)
 	}
@@ -135,10 +133,15 @@ func TestSessionGoldenClosedLoops(t *testing.T) {
 			t.Parallel()
 			fresh := runFresh(t, tc.mk())
 			s := core.NewSession()
-			cold := runOnSession(t, s, tc.mk())
+			first := tc.mk()
+			cold := runOnSession(t, s, first)
 			requireRunsIdentical(t, "cold session", fresh, cold)
 			for i := 0; i < 2; i++ {
-				warm := runOnSession(t, s, tc.mk())
+				// The session keys its warm path on the *System pointer, so
+				// a repeat must carry the first run's System to reuse it.
+				cfg := tc.mk()
+				cfg.System = first.System
+				warm := runOnSession(t, s, cfg)
 				requireRunsIdentical(t, "warm reuse", fresh, warm)
 			}
 		})
@@ -151,20 +154,30 @@ func TestSessionGoldenClosedLoops(t *testing.T) {
 // requires every run to match its fresh-Run golden regardless of what the
 // session executed before it.
 func TestSessionGoldenAcrossShapes(t *testing.T) {
-	mks := []func() core.RunConfig{
-		func() core.RunConfig { return Motivation(1.94, 1) },
-		func() core.RunConfig { return Motivation(1.94, 1) }, // repeat: warm
-		func() core.RunConfig { return TestbedRestore(1) },
-		func() core.RunConfig { return SimAcceleration(core.ModeEUCON, 1) },
-		func() core.RunConfig { return SimAcceleration(core.ModeAutoE2E, 1) },
-		func() core.RunConfig { return TestbedRestore(1) },
+	steps := []struct {
+		mk func() core.RunConfig
+		// warm repeats the previous step on its System, so the session
+		// takes its warm path instead of rebuilding.
+		warm bool
+	}{
+		{mk: func() core.RunConfig { return Motivation(1.94, 1) }},
+		{mk: func() core.RunConfig { return Motivation(1.94, 1) }, warm: true},
+		{mk: func() core.RunConfig { return TestbedRestore(1) }},
+		{mk: func() core.RunConfig { return SimAcceleration(core.ModeEUCON, 1) }},
+		{mk: func() core.RunConfig { return SimAcceleration(core.ModeAutoE2E, 1) }},
+		{mk: func() core.RunConfig { return TestbedRestore(1) }},
 	}
 	s := core.NewSession()
-	for i, mk := range mks {
-		fresh := runFresh(t, mk())
-		got := runOnSession(t, s, mk())
+	var prev core.RunConfig
+	for _, st := range steps {
+		fresh := runFresh(t, st.mk())
+		cfg := st.mk()
+		if st.warm {
+			cfg.System = prev.System
+		}
+		got := runOnSession(t, s, cfg)
 		requireRunsIdentical(t, "shape sequence", fresh, got)
-		_ = i
+		prev = cfg
 	}
 }
 

@@ -63,7 +63,7 @@ func (s *Scheduler) DecodeEventArg(a simtime.EventArg) (any, bool) {
 // models after Restore rebuilt the scheduler's state from a checkpoint.
 func (s *Scheduler) Reconfigure(cfg Config) {
 	if cfg.Exec == nil {
-		panic("sched: Config.Exec is required") //lint:allow panicguard a nil execution model is a caller bug caught before any event fires
+		panic("sched: Config.Exec is required")
 	}
 	s.cfg = cfg
 }

@@ -352,7 +352,6 @@ func (e *refECURunner) sampleWindow(now simtime.Time) units.Util {
 
 // higherPriorityThan mirrors job.higherPriorityThan.
 func (j *refJob) higherPriorityThan(other *refJob) bool {
-	//lint:allow floateq exact tie-break keeps the priority order total and deterministic
 	if j.priority != other.priority {
 		return j.priority < other.priority
 	}

@@ -139,7 +139,6 @@ func TestSchedulerMatchesReferenceFuzz(t *testing.T) {
 			return false
 		}
 		for i := range pooledUtils {
-			//lint:allow floateq identical call sequences must produce bit-identical samples
 			if pooledUtils[i] != refUtils[i] {
 				t.Logf("seed %d: utilization sample %d diverged: pooled %v, reference %v", seed, i, pooledUtils[i], refUtils[i])
 				return false

@@ -222,7 +222,7 @@ func (s *Scheduler) State() *taskmodel.State { return s.state }
 //lint:certify noalloc,nopanic,deterministic initial releases: one pooled ScheduleCall per task
 func (s *Scheduler) Start() {
 	if s.started {
-		panic("sched: Start called twice") //lint:allow panicguard double Start would double every release train; failing loudly is the contract
+		panic("sched: Start called twice") //lint:allow effects double Start would double every release train; failing loudly is the contract
 	}
 	s.started = true
 	for ti := range s.sys.Tasks {
@@ -239,7 +239,7 @@ func (s *Scheduler) Start() {
 // zero, release guards clear, sequence numbers restart.
 func (s *Scheduler) Reset(cfg Config) {
 	if cfg.Exec == nil {
-		panic("sched: Config.Exec is required") //lint:allow panicguard a nil execution model is a caller bug caught before any event fires
+		panic("sched: Config.Exec is required") //lint:allow effects a nil execution model is a caller bug caught before any event fires
 	}
 	s.cfg = cfg
 	for i := range s.counters {
@@ -283,7 +283,7 @@ func (s *Scheduler) Reset(cfg Config) {
 //lint:certify noalloc,nopanic,deterministic control-tick counter snapshot; first-call sizing is the one audited allocation
 func (s *Scheduler) CountersInto(dst []TaskCounter) []TaskCounter {
 	if cap(dst) < len(s.counters) {
-		dst = make([]TaskCounter, len(s.counters)) //lint:allow hotpathalloc first-call sizing; steady state reuses dst
+		dst = make([]TaskCounter, len(s.counters)) //lint:allow effects first-call sizing; steady state reuses dst
 	}
 	dst = dst[:len(s.counters)]
 	copy(dst, s.counters)
@@ -300,7 +300,7 @@ func (s *Scheduler) CountersInto(dst []TaskCounter) []TaskCounter {
 func (s *Scheduler) SampleUtilizationsInto(dst []units.Util) []units.Util {
 	now := s.eng.Now()
 	if cap(dst) < len(s.ecus) {
-		dst = make([]units.Util, len(s.ecus)) //lint:allow hotpathalloc first-call sizing; steady state reuses dst
+		dst = make([]units.Util, len(s.ecus)) //lint:allow effects first-call sizing; steady state reuses dst
 	}
 	dst = dst[:len(s.ecus)]
 	for j, e := range s.ecus {
@@ -361,7 +361,7 @@ func linkReleaseEvent(now simtime.Time, arg any) {
 func (s *Scheduler) getChain() *chain {
 	c := s.freeChain
 	if c == nil {
-		c = &chain{s: s, poolIdx: int32(len(s.allChains))} //lint:allow hotpathalloc pool refill when empty; steady state recycles via putChain
+		c = &chain{s: s, poolIdx: int32(len(s.allChains))} //lint:allow effects pool refill when empty; steady state recycles via putChain
 		s.allChains = append(s.allChains, c)
 		return c
 	}
@@ -385,7 +385,7 @@ func (s *Scheduler) putChain(c *chain) {
 func (s *Scheduler) getJob() *job {
 	j := s.freeJob
 	if j == nil {
-		j = &job{poolIdx: int32(len(s.allJobs))} //lint:allow hotpathalloc pool refill when empty; steady state recycles via putJob
+		j = &job{poolIdx: int32(len(s.allJobs))} //lint:allow effects pool refill when empty; steady state recycles via putJob
 		s.allJobs = append(s.allJobs, j)
 		return j
 	}
@@ -414,7 +414,7 @@ func (s *Scheduler) releaseFirst(ti taskmodel.TaskID, now simtime.Time) {
 	}
 	period := s.state.Period(ti)
 	n := len(s.sys.Tasks[ti].Subtasks)
-	c := s.getChain() //lint:allow hotpathalloc pool refill when empty; steady state recycles via putChain
+	c := s.getChain() //lint:allow effects pool refill when empty; steady state recycles via putChain
 	c.task = ti
 	c.instance = s.counters[ti].Released
 	c.release = now
@@ -477,7 +477,7 @@ func (s *Scheduler) admitJob(c *chain, stage int, now simtime.Time) {
 	sub := s.sys.Subtask(ref)
 	demand := s.cfg.Exec.Demand(s.sys, ref, now, s.state.Ratio(ref))
 	s.nextSeq++
-	j := s.getJob() //lint:allow hotpathalloc pool refill when empty; steady state recycles via putJob
+	j := s.getJob() //lint:allow effects pool refill when empty; steady state recycles via putJob
 	j.chain = c
 	j.ref = ref
 	j.release = now

@@ -106,12 +106,10 @@ func requireSubstrateEquivalence(t *testing.T, mk func() core.RunConfig) {
 		}
 	}
 	for i, r := range pooledRes.State.Rates() {
-		//lint:allow floateq identical closed loops must land on bit-identical rates
 		if r != refRes.State.Rates()[i] {
 			t.Fatalf("final rate of task %d diverged: pooled %v, reference %v", i, r, refRes.State.Rates()[i])
 		}
 	}
-	//lint:allow floateq identical closed loops must land on bit-identical precision
 	if p, q := pooledRes.State.TotalPrecision(), refRes.State.TotalPrecision(); p != q {
 		t.Fatalf("final total precision diverged: pooled %v, reference %v", p, q)
 	}

@@ -225,7 +225,7 @@ func resolve(spec *RunSpec) (resolved, error) {
 // to appendSummary over the library core.RunAll result for the same
 // config.
 //
-//lint:noalloc appends into a caller-grown buffer; strconv.Append* writes in place
+//lint:certify noalloc appends into a caller-grown buffer; strconv.Append* writes in place
 func appendSummary(dst []byte, mode core.Mode, durationS float64, res *core.RunResult) []byte {
 	dst = append(dst, `{"mode":"`...)
 	// Inlined Mode.String for the three valid arms: its default case
@@ -264,7 +264,7 @@ func appendSummary(dst []byte, mode core.Mode, durationS float64, res *core.RunR
 
 // appendTiming renders the flat per-request timing block onto dst.
 //
-//lint:noalloc appends into a caller-grown buffer; strconv.Append* writes in place
+//lint:certify noalloc appends into a caller-grown buffer; strconv.Append* writes in place
 func appendTiming(dst []byte, t Timing) []byte {
 	dst = append(dst, `{"queue_wait_ns":`...)
 	dst = strconv.AppendInt(dst, t.QueueWaitNs, 10)

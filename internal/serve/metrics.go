@@ -67,8 +67,6 @@ func bucketLow(i int) int64 {
 }
 
 // observe records one value.
-//
-//lint:noalloc atomic bumps into fixed arrays
 func (h *histogram) observe(v int64) {
 	if v < 0 {
 		v = 0
@@ -150,7 +148,6 @@ type Registry struct {
 // atomic histograms, no allocation, no locks, no panics.
 //
 //lint:certify noalloc,nopanic,noblock,deterministic per-request metrics fold: atomic bumps into fixed histograms
-//lint:noalloc atomic bumps into fixed histograms
 func (m *Registry) observe(t Timing) {
 	m.stages[stageQueueWait].observe(t.QueueWaitNs)
 	m.stages[stageBatchWait].observe(t.BatchWaitNs)

@@ -271,9 +271,9 @@ func (s *Server) worker(sessions map[shapeKey]*core.Session) {
 // core.execute), but a shape miss legitimately routes through the
 // allocating rebuild path, so a transitive noalloc contract here would be
 // a lie. The serve layer's own guarantees are pinned instead by the
-// per-function //lint:noalloc markers on its serialize/metrics leaves
-// (escape-replay verified), the //lint:certify root on Registry.observe,
-// and the steady-state allocation gate in serve_test.go.
+// //lint:certify noalloc roots on its serializers (appendSummary,
+// appendTiming) and on Registry.observe, and by the steady-state
+// allocation gate in serve_test.go.
 func (s *Server) serveOne(sess *core.Session, noise *exectime.Noise, p *pending) bool {
 	ok := s.runGuarded(sess, noise, p)
 	s.metrics.observe(p.timing)

@@ -125,11 +125,9 @@ func (e *Engine) Now() Time { return e.now }
 // The fn value itself is stored without allocating, but building a fresh
 // closure at the call site costs one allocation per event; steady-state
 // code should pre-bind a CallFunc and use ScheduleCall instead.
-//
-//lint:noalloc
 func (e *Engine) Schedule(at Time, fn EventFunc) EventID {
 	if fn == nil {
-		panic("simtime: schedule with nil EventFunc") //lint:allow panicguard nil callback is a caller bug; failing loudly beats a silent lost event
+		panic("simtime: schedule with nil EventFunc")
 	}
 	return e.enqueue(at, fn, nil, nil, false)
 }
@@ -140,7 +138,7 @@ func (e *Engine) Schedule(at Time, fn EventFunc) EventID {
 // nothing when arg is pointer-shaped. Scheduling in the past panics.
 func (e *Engine) ScheduleCall(at Time, fn CallFunc, arg any) EventID {
 	if fn == nil {
-		panic("simtime: schedule with nil CallFunc") //lint:allow panicguard nil callback is a caller bug; failing loudly beats a silent lost event
+		panic("simtime: schedule with nil CallFunc") //lint:allow effects nil callback is a caller bug; failing loudly beats a silent lost event
 	}
 	return e.enqueue(at, nil, fn, arg, false)
 }
@@ -159,17 +157,17 @@ func (e *Engine) ScheduleCall(at Time, fn CallFunc, arg any) EventID {
 // which is what fork-vs-replay byte-identity requires.
 func (e *Engine) ScheduleCallPre(at Time, fn CallFunc, arg any) EventID {
 	if fn == nil {
-		panic("simtime: schedule with nil CallFunc") //lint:allow panicguard nil callback is a caller bug; failing loudly beats a silent lost event
+		panic("simtime: schedule with nil CallFunc") //lint:allow effects nil callback is a caller bug; failing loudly beats a silent lost event
 	}
 	return e.enqueue(at, nil, fn, arg, true)
 }
 
 // After enqueues fn to run d after the current instant.
 //
-//lint:noalloc
+//lint:certify noalloc relative scheduling onto a recycled event slot through Schedule; the caller owns any closure it builds
 func (e *Engine) After(d Duration, fn EventFunc) EventID {
 	if d < 0 {
-		panic(fmt.Sprintf("simtime: negative delay %v", d)) //lint:allow hotpathalloc,panicguard panic-path boxing; a negative delay is a caller bug
+		panic(fmt.Sprintf("simtime: negative delay %v", d)) //lint:allow effects panic-path boxing; a negative delay is a caller bug
 	}
 	return e.Schedule(e.now.Add(d), fn)
 }
@@ -178,7 +176,7 @@ func (e *Engine) After(d Duration, fn EventFunc) EventID {
 // closure-free counterpart of After.
 func (e *Engine) AfterCall(d Duration, fn CallFunc, arg any) EventID {
 	if d < 0 {
-		panic(fmt.Sprintf("simtime: negative delay %v", d)) //lint:allow hotpathalloc,panicguard panic-path boxing; a negative delay is a caller bug
+		panic(fmt.Sprintf("simtime: negative delay %v", d)) //lint:allow effects panic-path boxing; a negative delay is a caller bug
 	}
 	return e.ScheduleCall(e.now.Add(d), fn, arg)
 }
@@ -186,7 +184,7 @@ func (e *Engine) AfterCall(d Duration, fn CallFunc, arg any) EventID {
 // enqueue places one event into a recycled (or fresh) slot and the heap.
 func (e *Engine) enqueue(at Time, fn EventFunc, call CallFunc, arg any, pre bool) EventID {
 	if at < e.now {
-		panic(fmt.Sprintf("simtime: schedule at %v before now %v", at, e.now)) //lint:allow hotpathalloc,panicguard panic-path boxing; scheduling in the past silently reorders causality
+		panic(fmt.Sprintf("simtime: schedule at %v before now %v", at, e.now)) //lint:allow effects panic-path boxing; scheduling in the past silently reorders causality
 	}
 	e.nextSeq++
 	var idx uint32

@@ -23,7 +23,6 @@ func requireSameSamples(t *testing.T, label string, want, got []float64) {
 		t.Fatalf("%s: sample counts diverged: %d vs %d", label, len(want), len(got))
 	}
 	for i := range want {
-		//lint:allow floateq restored streams must reproduce samples bitwise, not approximately
 		if want[i] != got[i] {
 			t.Fatalf("%s: sample %d diverged: %v vs %v", label, i, want[i], got[i])
 		}

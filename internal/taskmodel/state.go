@@ -147,7 +147,7 @@ func (st *State) E2EDeadline(i TaskID) simtime.Duration {
 // execution-time estimates.
 func (st *State) EstimatedUtilization(j int) units.Util {
 	u := units.Util(0)
-	for _, ref := range st.sys.OnECU(j) { //lint:allow hotpathalloc System.OnECU builds its index once, then serves the cache
+	for _, ref := range st.sys.OnECU(j) { //lint:allow effects System.OnECU builds its index once, then serves the cache
 		sub := st.sys.Subtask(ref)
 		u += units.Load(sub.NominalExec, st.Ratio(ref), st.rates[ref.Task])
 	}

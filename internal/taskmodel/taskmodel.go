@@ -183,7 +183,7 @@ func (s *System) Validate() error {
 // buildOnECU computes the S_j sets of Equation (2) for every ECU, in task
 // order.
 func buildOnECU(s *System) [][]SubtaskRef {
-	sets := make([][]SubtaskRef, s.NumECUs) //lint:allow hotpathalloc cache construction, once per System (at Validate, or first use for unvalidated test Systems)
+	sets := make([][]SubtaskRef, s.NumECUs) //lint:allow effects cache construction, once per System (at Validate, or first use for unvalidated test Systems)
 	for ti, task := range s.Tasks {
 		for si := range task.Subtasks {
 			j := task.Subtasks[si].ECU
@@ -206,7 +206,7 @@ func (s *System) OnECU(j int) []SubtaskRef {
 	if s.onECU == nil {
 		// Not yet validated (some unit tests construct Systems directly);
 		// fall back to building the cache on first use.
-		s.onECU = buildOnECU(s) //lint:allow hotpathalloc first-use cache build for unvalidated Systems; Validate prebuilds it
+		s.onECU = buildOnECU(s) //lint:allow effects first-use cache build for unvalidated Systems; Validate prebuilds it
 	}
 	return s.onECU[j]
 }

@@ -10,8 +10,6 @@ import (
 
 // appendTimeColumn encodes timestamps by double-delta coding their bit
 // patterns (see the package comment) and returns the extended buffer.
-//
-//lint:noalloc append into caller-grown buffer; steady-state campaigns reuse capacity
 func appendTimeColumn(dst []byte, ts []float64) []byte {
 	var prev, prevDelta uint64
 	for _, t := range ts {
@@ -25,8 +23,6 @@ func appendTimeColumn(dst []byte, ts []float64) []byte {
 
 // appendValueColumn encodes values by XORing each bit pattern with its
 // predecessor's and returns the extended buffer.
-//
-//lint:noalloc append into caller-grown buffer; steady-state campaigns reuse capacity
 func appendValueColumn(dst []byte, vs []float64) []byte {
 	var prev uint64
 	for _, v := range vs {
@@ -43,7 +39,7 @@ func appendValueColumn(dst []byte, vs []float64) []byte {
 // appending further runs allocates nothing. The file magic is not
 // included; see Writer for whole files.
 //
-//lint:noalloc appends into a caller-grown buffer; the series closures stay on the stack
+//lint:certify noalloc appends into a caller-grown buffer; the series closures stay on the stack
 func AppendRun(dst []byte, rec *trace.Recorder) []byte {
 	nSeries := 0
 	rec.EachSeries(func(*trace.Series) { nSeries++ })

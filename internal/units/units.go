@@ -58,7 +58,7 @@ func (a Ratio) Float() float64 { return float64(a) }
 // rate panics: a period only exists for a running task.
 func (r Rate) Period() simtime.Duration {
 	if r <= 0 {
-		panic("units: Period of non-positive Rate") //lint:allow panicguard a stopped task has no period; computing one is a caller bug
+		panic("units: Period of non-positive Rate") //lint:allow effects a stopped task has no period; computing one is a caller bug
 	}
 	return simtime.FromSeconds(1 / float64(r))
 }

@@ -119,7 +119,8 @@ perfbench-smoke:
 		GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod $(GO) test -short .
 
 # fuzz-smoke runs every native fuzz target — the three colfmt codec
-# targets and the inner MPC solver's — for a fixed number of inputs
+# targets, the inner MPC solver's and the serve request boundary's (decode
+# and validation only) — for a fixed number of inputs
 # (-fuzztime Nx, so the amount of work does not depend on machine speed) on
 # one worker. go test fuzzes one target per invocation, hence one line each.
 # A failing input is written under the package's testdata/fuzz/ for replay.
@@ -128,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRoundTrip$$' -fuzztime 5000x -parallel 1 ./internal/trace/colfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderRobustness$$' -fuzztime 5000x -parallel 1 ./internal/trace/colfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveNormal$$' -fuzztime 5000x -parallel 1 ./internal/eucon
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestBoundary$$' -fuzztime 5000x -parallel 1 ./internal/serve
 
 # loc prints the production Go line count per package directory and the
 # total: every .go file except _test.go files, skipping the directories

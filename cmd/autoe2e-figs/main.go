@@ -92,9 +92,6 @@ func main() {
 	}
 }
 
-// runPool wraps parallel.Map for harness stages whose items can fail: fn
-// computes item i in the pool, results come back in input order, and the
-// reported error is the lowest-indexed failure.
 // meanWindow averages a series over [from, to) seconds without copying the
 // samples out.
 func meanWindow(s *trace.Series, from, to float64) float64 {
@@ -102,6 +99,9 @@ func meanWindow(s *trace.Series, from, to float64) float64 {
 	return stats.Mean(s.V[lo:hi])
 }
 
+// runPool wraps parallel.Map for harness stages whose items can fail: fn
+// computes item i in the pool, results come back in input order, and the
+// reported error is the lowest-indexed failure.
 func runPool[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	type outcome struct {
 		val T

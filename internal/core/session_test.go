@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -549,5 +550,61 @@ func TestRunStreamRetainWithoutClone(t *testing.T) {
 	}
 	if !bytes.Equal(sessionCSV(t, retained), sessionCSV(t, want1)) {
 		t.Error("retained result matches neither run; expected exactly the second run's data")
+	}
+}
+
+// TestSnapshotRefusesAttachEvents pins the checkpoint contract's refusal
+// path: an engine ticker installed through Attach cannot be rebound, so
+// Snapshot fails with sched.ErrUnknownEventArg, RunTree (which does not
+// support Attach) fails at its prefix, and the refused session's next plain
+// Run is byte-identical to a fresh Run.
+func TestSnapshotRefusesAttachEvents(t *testing.T) {
+	plain := RunConfig{
+		System:     testSystem(t),
+		Exec:       exectime.Nominal{},
+		Middleware: Config{Mode: ModeEUCON, InnerPeriod: simtime.Second},
+		Duration:   10 * simtime.Second,
+	}
+	attached := plain
+	attached.Attach = func(eng *simtime.Engine, _ *taskmodel.State) {
+		eng.Every(250*simtime.Millisecond, func(simtime.Time) {})
+	}
+	forkAt := simtime.At(4)
+
+	s := NewSession()
+	if err := s.RunPartial(attached, forkAt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Snapshot(); !errors.Is(err, sched.ErrUnknownEventArg) {
+		t.Fatalf("Snapshot with an Attach ticker pending: err = %v, want %v", err, sched.ErrUnknownEventArg)
+	}
+
+	_, err := RunTree(TreeConfig{
+		Base:   func() RunConfig { return attached },
+		ForkAt: forkAt,
+		Forks:  []Fork{{}},
+	})
+	if !errors.Is(err, sched.ErrUnknownEventArg) || !strings.HasPrefix(err.Error(), "core: prefix: ") {
+		t.Fatalf("RunTree with Attach: err = %v, want a prefix error wrapping %v", err, sched.ErrUnknownEventArg)
+	}
+
+	want, err := Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Run(plain)
+	if err != nil {
+		t.Fatalf("plain Run after the refused Snapshot: %v", err)
+	}
+	if !bytes.Equal(sessionCSV(t, want), sessionCSV(t, got)) {
+		t.Fatal("plain Run after the refused Snapshot diverged from a fresh Run (CSV bytes differ)")
+	}
+	for i := range want.Counters {
+		if want.Counters[i] != got.Counters[i] {
+			t.Fatalf("task %d counters diverged: %+v != %+v", i, got.Counters[i], want.Counters[i])
+		}
+	}
+	if want.Solver != got.Solver {
+		t.Fatalf("solver totals diverged: %+v != %+v", got.Solver, want.Solver)
 	}
 }

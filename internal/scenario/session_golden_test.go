@@ -2,12 +2,14 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/autoe2e/autoe2e/internal/core"
 	"github.com/autoe2e/autoe2e/internal/eucon"
 	"github.com/autoe2e/autoe2e/internal/sched"
 	"github.com/autoe2e/autoe2e/internal/simtime"
+	"github.com/autoe2e/autoe2e/internal/taskmodel"
 )
 
 // observedRun is one run's complete observable output, copied out of the
@@ -181,23 +183,33 @@ func TestSessionGoldenAcrossShapes(t *testing.T) {
 	}
 }
 
-// TestSessionGoldenFuzzReuse hammers one session with randomized
+// TestSessionGoldenFuzzReuse hammers warm sessions with randomized
 // back-to-back runs — random scenario, random seed, random duration knob
 // where the scenario offers one — comparing each against a fresh Run of an
 // identically-built config. This is the adversarial sweep for cross-run
 // state leakage: any buffer not reset, any counter not rewound, any stale
 // event surviving in the engine shows up as a byte diff.
+//
+// Each (scenario, mode) keeps one session and one *System across rounds —
+// every constructor here builds its System independently of the drawn knob
+// — so every repeat of a kind takes the session's warm path, which keys on
+// the System pointer and the middleware config.
 func TestSessionGoldenFuzzReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz reuse sweep is slow")
 	}
 	rng := simtime.NewRand(7)
-	s := core.NewSession()
+	type warmKind struct {
+		s   *core.Session
+		sys *taskmodel.System
+	}
+	var kinds [5]warmKind
 	const rounds = 12
 	for round := 0; round < rounds; round++ {
 		seed := int64(rng.Intn(1000)) + 1
 		var mk func() core.RunConfig
-		switch rng.Intn(4) {
+		kind := rng.Intn(4)
+		switch kind {
 		case 0:
 			factor := 1.0 + rng.Float64()
 			mk = func() core.RunConfig { return Motivation(factor, seed) }
@@ -210,11 +222,19 @@ func TestSessionGoldenFuzzReuse(t *testing.T) {
 			mode := core.ModeEUCON
 			if rng.Intn(2) == 1 {
 				mode = core.ModeAutoE2E
+				kind = 4
 			}
 			mk = func() core.RunConfig { return SimAcceleration(mode, seed) }
 		}
 		fresh := runFresh(t, mk())
-		got := runOnSession(t, s, mk())
-		requireRunsIdentical(t, "fuzz round", fresh, got)
+		k := &kinds[kind]
+		cfg := mk()
+		if k.s == nil {
+			k.s, k.sys = core.NewSession(), cfg.System
+		} else {
+			cfg.System = k.sys
+		}
+		got := runOnSession(t, k.s, cfg)
+		requireRunsIdentical(t, fmt.Sprintf("fuzz round %d", round), fresh, got)
 	}
 }

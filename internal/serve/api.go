@@ -4,6 +4,13 @@
 // session workers, and answers with summary JSON or columnar binary
 // traces.
 //
+// Every request takes one path. It resolves to n ≥ 1 runs of one spec that
+// differ only in their noise seed (n = 1 for POST /v1/run and Execute),
+// carried by one pooled group; one all-or-nothing reservation admits the
+// group or answers 429/503, the worker finishing its last run signals its
+// one completion channel, and the caller frames the response from the
+// group's per-run buffers.
+//
 // The paper positions AutoE2E as middleware; this package is the
 // deployment shape of the reproduction — simulation as a service. The hot
 // path reuses the de-allocated batch machinery end to end: every worker
@@ -19,6 +26,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -169,6 +177,13 @@ type resolved struct {
 	colfmt    bool
 	shape     shapeKey
 
+	// runs is the number of noise seeds the request covers, in
+	// [1, maxSweepRuns]: 1 for a single run. Run i draws seed seeds[i], or
+	// noise.Seed+i when seeds is nil.
+	runs  int
+	seeds []int64
+	sweep bool // answer in the sweep framing ({"runs":[...]}, X-Autoe2e-Runs)
+
 	// hook, when non-nil, runs on the worker just before the run. Test
 	// support only (never settable from the wire): tests use it to park a
 	// worker deterministically instead of racing against simulation wall
@@ -176,8 +191,17 @@ type resolved struct {
 	hook func()
 }
 
-// resolve validates a RunSpec and interns its workload. It is the single
-// admission gate: anything that passes here will run.
+// seed returns run i's noise seed.
+func (r *resolved) seed(i int) int64 {
+	if r.seeds != nil {
+		return r.seeds[i]
+	}
+	return r.noise.Seed + int64(i)
+}
+
+// resolve validates a RunSpec and interns its workload: a single run.
+// Anything that passes here (or resolveSweep) is admission-ready and will
+// run once admitted.
 func resolve(spec *RunSpec) (resolved, error) {
 	var r resolved
 	mode, err := parseMode(spec.Mode)
@@ -216,6 +240,41 @@ func resolve(spec *RunSpec) (resolved, error) {
 	r.noise = spec.Noise
 	r.noiseOn = spec.Noise.Spread > 0
 	r.shape = shapeKey{wl: spec.Workload, mode: mode}
+	r.runs = 1
+	return r, nil
+}
+
+// resolveSweep validates a SweepSpec into one request over its seeds. The
+// run count is bounded — by maxSweepRuns and then by queueDepth, since a
+// group must fit the admission queue whole — before anything is sized by
+// it; Count seeds are 1..Count and never materialized.
+func resolveSweep(spec *SweepSpec, queueDepth int) (resolved, error) {
+	n := len(spec.Seeds)
+	switch {
+	case n > 0 && spec.Count > 0, n == 0 && spec.Count <= 0:
+		return resolved{}, errors.New("sweep: set exactly one of seeds and count")
+	case n == 0:
+		n = spec.Count
+	}
+	if n > maxSweepRuns {
+		return resolved{}, errors.New("sweep exceeds " + strconv.Itoa(maxSweepRuns) + " runs; split the campaign")
+	}
+	if n > queueDepth {
+		return resolved{}, errors.New("sweep exceeds the admission queue depth (" + strconv.Itoa(queueDepth) + "); split the campaign")
+	}
+	r, err := resolve(&spec.Base)
+	if err != nil {
+		return r, err
+	}
+	if n > 1 && !r.noiseOn {
+		return r, errors.New("sweep over multiple seeds needs base.noise.spread > 0 (seeds select noise streams)")
+	}
+	r.runs, r.sweep = n, true
+	if len(spec.Seeds) > 0 {
+		r.seeds = spec.Seeds
+	} else {
+		r.noise.Seed = 1
+	}
 	return r, nil
 }
 

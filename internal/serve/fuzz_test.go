@@ -1,0 +1,72 @@
+package serve
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"github.com/autoe2e/autoe2e/internal/simtime"
+)
+
+// FuzzRequestBoundary drives arbitrary bytes through the request boundary
+// the handlers use: strict decoding as a RunSpec and as a SweepSpec, then
+// resolve and resolveSweep's seed-list check. Every input is either
+// rejected with an error or yields an admission-ready request — an
+// interned system, a duration in (0, 3600 s], between 1 and maxSweepRuns
+// runs with a seed for each — and nothing panics. Accepted specs are not
+// run: a legal one can simulate for minutes, until a per-request cost cap
+// bounds that.
+func FuzzRequestBoundary(f *testing.F) {
+	for _, tc := range goldenSpecs {
+		f.Add([]byte(tc.json))
+		f.Add([]byte(strings.TrimSuffix(tc.json, "}") + `,"trace":"colfmt"}`))
+		f.Add([]byte(`{"base":` + tc.json + `,"count":3}`))
+	}
+	for _, tc := range validationCases {
+		f.Add([]byte(tc.body))
+	}
+	f.Add([]byte(`{"base":{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15},"trace":"colfmt"},"seeds":[3,1,4,1,5]}`))
+	f.Add([]byte(`{"base":{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15}},"count":8}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var run RunSpec
+		if decode(bytes.NewReader(body), &run) == nil {
+			if res, err := resolve(&run); err == nil {
+				checkAdmissionReady(t, &res, false)
+			}
+		}
+		var sweep SweepSpec
+		if decode(bytes.NewReader(body), &sweep) == nil {
+			if res, err := resolveSweep(&sweep, maxSweepRuns); err == nil {
+				checkAdmissionReady(t, &res, true)
+			}
+		}
+	})
+}
+
+// checkAdmissionReady fails t unless res is a request the workers can run.
+func checkAdmissionReady(t *testing.T, res *resolved, sweep bool) {
+	t.Helper()
+	if res.sys == nil {
+		t.Fatal("accepted request has no system")
+	}
+	if res.durationS <= 0 || res.durationS > 3600 || res.duration <= 0 || res.duration > simtime.FromSeconds(3600) {
+		t.Fatalf("accepted duration %v s (%v), want (0, 3600 s]", res.durationS, res.duration)
+	}
+	if res.noise.Spread < 0 || res.noise.Spread >= 1 || res.noiseOn != (res.noise.Spread > 0) {
+		t.Fatalf("accepted noise %+v (on %v)", res.noise, res.noiseOn)
+	}
+	if res.runs < 1 || res.runs > maxSweepRuns {
+		t.Fatalf("accepted %d runs, want [1, %d]", res.runs, maxSweepRuns)
+	}
+	if res.sweep != sweep || (!sweep && (res.runs != 1 || res.seeds != nil)) {
+		t.Fatalf("request framing: sweep %v, runs %d, %d seeds", res.sweep, res.runs, len(res.seeds))
+	}
+	if res.seeds != nil && len(res.seeds) != res.runs {
+		t.Fatalf("%d runs over %d seeds", res.runs, len(res.seeds))
+	}
+	if res.runs > 1 && !res.noiseOn {
+		t.Fatalf("%d runs without noise would all be identical", res.runs)
+	}
+	_ = res.seed(res.runs - 1)
+}

@@ -168,17 +168,6 @@ func (m *Registry) Percentile(p float64) int64 {
 	return m.stages[stageTotal].percentile(p)
 }
 
-// StagePercentile returns a lower bound on the p-quantile of one stage
-// ("queue_wait", "batch_wait", "run", "serialize", "total").
-func (m *Registry) StagePercentile(stage string, p float64) int64 {
-	for i, n := range stageNames {
-		if n == stage {
-			return m.stages[i].percentile(p)
-		}
-	}
-	return 0
-}
-
 // Completed returns the number of responses delivered.
 func (m *Registry) Completed() uint64 { return m.completed.Load() }
 

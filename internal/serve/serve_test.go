@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,8 +87,8 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-// goldenSpecs cover every workload kind, all three modes, and noise
-// on/off.
+// goldenSpecs cover every workload kind, all three modes, noise on/off,
+// and one run long enough to carry a non-trivial trace.
 var goldenSpecs = []struct {
 	name string
 	spec RunSpec
@@ -111,6 +113,13 @@ var goldenSpecs = []struct {
 		name: "synthetic autoe2e noisy",
 		spec: RunSpec{Workload: WorkloadSpec{Name: "synthetic", Seed: 3, ECUs: 4, Tasks: 12}, DurationS: 0.1, Noise: NoiseSpec{Spread: 0.1, Seed: 11}},
 		json: `{"workload":{"name":"synthetic","seed":3,"ecus":4,"tasks":12},"duration_s":0.1,"noise":{"spread":0.1,"seed":11}}`,
+	},
+	{
+		// Long enough to record trace samples: the shorter runs above
+		// have near-empty colfmt runs.
+		name: "testbed autoe2e noisy 2s",
+		spec: RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 2, Noise: NoiseSpec{Spread: 0.05, Seed: 5}},
+		json: `{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.05,"seed":5}}`,
 	},
 }
 
@@ -178,17 +187,25 @@ func TestRunGoldenColfmt(t *testing.T) {
 
 // librarySweep is the canonical sweep over seeds of the testbed spec the
 // sweep tests post: the colfmt body (magic + one run per seed) and each
-// seed's summary JSON, computed through core.RunAll.
+// seed's summary JSON, computed through core.RunAll. The runs are long
+// enough (2 s) that distinct seeds give distinct traces, which it checks,
+// so the colfmt goldens see a run served with the wrong seed.
 func librarySweep(t *testing.T, seeds []int64) (col []byte, sums [][]byte) {
 	t.Helper()
 	col = colfmt.AppendMagic(nil)
+	seedOf := make(map[string]int64)
 	for _, seed := range seeds {
-		spec := RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.1, Noise: NoiseSpec{Spread: 0.15, Seed: seed}}
+		spec := RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 2, Noise: NoiseSpec{Spread: 0.15, Seed: seed}}
 		res, err := core.RunAll([]core.RunConfig{libraryConfig(t, &spec)}, 1)
 		if err != nil {
 			t.Fatalf("core.RunAll: %v", err)
 		}
-		col = colfmt.AppendRun(col, res[0].Trace)
+		run := colfmt.AppendRun(nil, res[0].Trace)
+		if other, ok := seedOf[string(run)]; ok && other != seed {
+			t.Fatalf("seeds %d and %d give the same trace", other, seed)
+		}
+		seedOf[string(run)] = seed
+		col = append(col, run...)
 		r, _ := resolve(&spec)
 		sums = append(sums, appendSummary(nil, r.mode, r.durationS, res[0]))
 	}
@@ -204,7 +221,7 @@ func TestSweepGolden(t *testing.T) {
 
 	t.Run("colfmt", func(t *testing.T) {
 		resp, got := postJSON(t, ts.URL+"/v1/sweep",
-			`{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.15},"trace":"colfmt"},"seeds":[3,1,4,1,5]}`)
+			`{"base":{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15},"trace":"colfmt"},"seeds":[3,1,4,1,5]}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %d, body %s", resp.StatusCode, got)
 		}
@@ -214,7 +231,7 @@ func TestSweepGolden(t *testing.T) {
 	})
 	t.Run("summary", func(t *testing.T) {
 		resp, got := postJSON(t, ts.URL+"/v1/sweep",
-			`{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.15}},"seeds":[3,1,4,1,5]}`)
+			`{"base":{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15}},"seeds":[3,1,4,1,5]}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %d, body %s", resp.StatusCode, got)
 		}
@@ -228,29 +245,38 @@ func TestSweepGolden(t *testing.T) {
 	})
 }
 
+// validationCases are bodies the request boundary must refuse with 400
+// before any run reaches a worker.
+var validationCases = []struct {
+	name, path, body string
+}{
+	{"bad json", "/v1/run", `{`},
+	{"unknown field", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"wat":1}`},
+	{"unknown workload", "/v1/run", `{"workload":{"name":"nope"},"duration_s":0.1}`},
+	{"unknown mode", "/v1/run", `{"workload":{"name":"testbed"},"mode":"nope","duration_s":0.1}`},
+	{"zero duration", "/v1/run", `{"workload":{"name":"testbed"}}`},
+	{"huge duration", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":1e9}`},
+	{"sub-microsecond duration", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":1e-7}`},
+	{"sweep sub-microsecond duration", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":4.9e-7,"noise":{"spread":0.1}},"count":2}`},
+	{"bad spread", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":1.5}}`},
+	{"bad trace", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"trace":"nope"}`},
+	{"synthetic too big", "/v1/run", `{"workload":{"name":"synthetic","ecus":100,"tasks":10},"duration_s":0.1}`},
+	{"sweep both", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.1}},"seeds":[1],"count":2}`},
+	{"sweep neither", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1}}`},
+	{"sweep no noise", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1},"count":4}`},
+	// The run count is bounded before anything is sized by it: a count
+	// of 1<<62 must be a plain 400, not an allocation.
+	{"sweep count over cap", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.1}},"count":4097}`},
+	{"sweep count 1<<62", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.1}},"count":4611686018427387904}`},
+	{"sweep seeds over cap", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.1}},"seeds":[` +
+		strings.Repeat("1,", maxSweepRuns) + `1]}`},
+}
+
 // TestValidation covers the admission gate's 400s: each bad body is
 // rejected before it reaches a worker, so none counts as a run error.
 func TestValidation(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
-	cases := []struct {
-		name, path, body string
-	}{
-		{"bad json", "/v1/run", `{`},
-		{"unknown field", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"wat":1}`},
-		{"unknown workload", "/v1/run", `{"workload":{"name":"nope"},"duration_s":0.1}`},
-		{"unknown mode", "/v1/run", `{"workload":{"name":"testbed"},"mode":"nope","duration_s":0.1}`},
-		{"zero duration", "/v1/run", `{"workload":{"name":"testbed"}}`},
-		{"huge duration", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":1e9}`},
-		{"sub-microsecond duration", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":1e-7}`},
-		{"sweep sub-microsecond duration", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":4.9e-7,"noise":{"spread":0.1}},"count":2}`},
-		{"bad spread", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":1.5}}`},
-		{"bad trace", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"trace":"nope"}`},
-		{"synthetic too big", "/v1/run", `{"workload":{"name":"synthetic","ecus":100,"tasks":10},"duration_s":0.1}`},
-		{"sweep both", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.1}},"seeds":[1],"count":2}`},
-		{"sweep neither", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1}}`},
-		{"sweep no noise", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1},"count":4}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range validationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postJSON(t, ts.URL+tc.path, tc.body)
 			if resp.StatusCode != http.StatusBadRequest {
@@ -317,10 +343,10 @@ func TestShutdownDrain(t *testing.T) {
 	}
 }
 
-// parkWorker enqueues a run whose hook parks the worker that picks it up,
+// parkWorker submits a run whose hook parks the worker that picks it up,
 // and returns once it is parked. The returned release unparks it, checks
-// the parked run answered 200 and recycles it; it is idempotent, so a test
-// defers it (after deferring Close) to unpark on every exit path —
+// the parked run succeeded and recycles its group; it is idempotent, so a
+// test defers it (after deferring Close) to unpark on every exit path —
 // Close drains, and would wait forever on a parked worker.
 func parkWorker(t *testing.T, s *Server) (release func()) {
 	t.Helper()
@@ -333,22 +359,26 @@ func parkWorker(t *testing.T, s *Server) (release func()) {
 		close(parked)
 		<-gate
 	}
-	hold := s.getPending()
-	hold.res = res
-	hold.standalone = true
-	if err := s.enqueue(hold); err != nil {
-		t.Fatalf("enqueue hold: %v", err)
+	hold := s.getGroup(&res)
+	refused := make(chan int, 1)
+	go func() {
+		status, _, _ := s.submit(hold)
+		refused <- status
+	}()
+	select {
+	case <-parked:
+	case status := <-refused:
+		t.Fatalf("hold refused with status %d", status)
 	}
-	<-parked
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			close(gate)
-			<-hold.done
-			if hold.status != http.StatusOK {
-				t.Errorf("parked run status = %d: %s", hold.status, hold.buf)
+			<-refused
+			if msg := hold.failure(); msg != "" {
+				t.Errorf("parked run failed: %s", msg)
 			}
-			s.putPending(hold)
+			s.groups.Put(hold)
 		})
 	}
 }
@@ -420,6 +450,52 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestSweepAdmitsWhole pins the all-or-nothing reservation: with the only
+// worker parked and one run queued, a four-seed sweep needs more slots
+// than the three left free and is refused with 429 + Retry-After while
+// holding none of them; once the worker is released, a three-seed sweep
+// runs whole.
+func TestSweepAdmitsWhole(t *testing.T) {
+	s := NewServer(Options{Workers: 1, QueueDepth: 4})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	release := parkWorker(t, s)
+	defer release()
+
+	queued := make(chan int, 1)
+	go func() {
+		var resp Response
+		s.Execute(&RunSpec{Workload: WorkloadSpec{Name: "testbed"}, DurationS: 0.01}, &resp)
+		queued <- resp.Status
+	}()
+	for s.used.Load() < 1 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	sweep := func(count int) (*http.Response, []byte) {
+		return postJSON(t, ts.URL+"/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.01,"noise":{"spread":0.1}},"count":`+strconv.Itoa(count)+`}`)
+	}
+	resp, body := sweep(4)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("sweep over the free slots: status %d, Retry-After %q, body %s; want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if used := s.used.Load(); used != 1 {
+		t.Fatalf("used = %d after the refused sweep, want 1", used)
+	}
+
+	release()
+	if status := <-queued; status != http.StatusOK {
+		t.Fatalf("queued run: status %d", status)
+	}
+	if resp, body := sweep(3); resp.StatusCode != http.StatusOK || resp.Header.Get("X-Autoe2e-Runs") != "3" {
+		t.Fatalf("three-seed sweep: status %d, X-Autoe2e-Runs %q, body %s", resp.StatusCode, resp.Header.Get("X-Autoe2e-Runs"), body)
+	}
+	if acc, comp := s.metrics.Accepted(), s.metrics.Completed(); acc != comp || acc != 5 {
+		t.Fatalf("accepted %d, completed %d; want 5 each", acc, comp)
+	}
+}
+
 // TestSweepSpreadsOverFreeWorker pins work conservation: with one of two
 // workers parked, an 8-seed sweep still completes — every child runs on
 // the free worker — and its body is byte-identical to the library sweep.
@@ -434,7 +510,7 @@ func TestSweepSpreadsOverFreeWorker(t *testing.T) {
 	want, _ := librarySweep(t, []int64{1, 2, 3, 4, 5, 6, 7, 8})
 	client := &http.Client{Timeout: 30 * time.Second}
 	resp, err := client.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(
-		`{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.15},"trace":"colfmt"},"count":8}`))
+		`{"base":{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15},"trace":"colfmt"},"count":8}`))
 	if err != nil {
 		t.Fatalf("sweep with one worker parked: %v", err)
 	}
@@ -452,10 +528,10 @@ func TestSweepSpreadsOverFreeWorker(t *testing.T) {
 }
 
 // TestRunPanicIsolated pins the panic barrier: a run that panics answers
-// 500 for that request only and is counted, a sweep with a panicking child
-// fails only that child, accepted == completed still holds, and the
-// worker drops the session and serves the next same-shape run on a fresh
-// one, byte-identical to the library result.
+// 500 for that request only and is counted, a sweep with one panicking run
+// answers 500 naming it, accepted == completed still holds, and the worker
+// drops the session and serves the next same-shape run on a fresh one,
+// byte-identical to the library result.
 func TestRunPanicIsolated(t *testing.T) {
 	s := NewServer(Options{Workers: 1})
 	defer s.Close()
@@ -475,41 +551,29 @@ func TestRunPanicIsolated(t *testing.T) {
 	warm := s.sessions[0][res.shape]
 	boom := res
 	boom.hook = func() { panic("injected fault") }
-	p := s.getPending()
-	p.res = boom
-	p.standalone = true
-	if err := s.enqueue(p); err != nil {
-		t.Fatalf("enqueue: %v", err)
+	rec := httptest.NewRecorder()
+	s.serveRequest(rec, &boom, nil)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "run panicked: injected fault") {
+		t.Fatalf("panicking run: status %d, body %s; want 500 naming the panic", rec.Code, rec.Body)
 	}
-	<-p.done
-	if p.status != http.StatusInternalServerError || !bytes.Contains(p.buf, []byte("injected fault")) {
-		t.Fatalf("panicking run: status %d, body %s; want 500 naming the panic", p.status, p.buf)
-	}
-	s.putPending(p)
 
-	parent := &sweepParent{children: make([]*pending, 3), done: make(chan struct{}, 1)}
-	for i := range parent.children {
-		c := s.getPending()
-		c.res = res
-		if i == 1 {
-			c.res = boom
+	// A three-seed sweep whose second run panics: the only worker takes
+	// the runs in seed order.
+	var calls atomic.Int32
+	sweep := res
+	sweep.runs, sweep.sweep = 3, true
+	sweep.hook = func() {
+		if calls.Add(1) == 2 {
+			panic("injected fault")
 		}
-		c.parent = parent
-		parent.children[i] = c
 	}
-	if err := s.enqueueSweep(parent); err != nil {
-		t.Fatalf("enqueueSweep: %v", err)
+	rec = httptest.NewRecorder()
+	s.serveRequest(rec, &sweep, nil)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "sweep run failed: run panicked: injected fault") {
+		t.Fatalf("sweep with a panicking run: status %d, body %s; want 500 naming the panic", rec.Code, rec.Body)
 	}
-	<-parent.done
-	for i, c := range parent.children {
-		want := http.StatusOK
-		if i == 1 {
-			want = http.StatusInternalServerError
-		}
-		if c.status != want {
-			t.Errorf("sweep child %d: status %d, want %d: %s", i, c.status, want, c.buf)
-		}
-		s.putPending(c)
+	if n := calls.Load(); n != 3 {
+		t.Errorf("sweep ran %d runs, want all 3", n)
 	}
 
 	s.Execute(&spec, &resp)

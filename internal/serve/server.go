@@ -2,7 +2,7 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -40,19 +40,10 @@ func writeError(w http.ResponseWriter, status int, msg string, retryAfterS int) 
 	w.Write(appendError(nil, msg, retryAfterS))
 }
 
-// writeAdmissionError maps enqueue failures onto the wire: queue full is
-// 429 + Retry-After, draining is 503.
-func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errDraining) {
-		writeError(w, http.StatusServiceUnavailable, "server is draining", 1)
-		return
-	}
-	writeError(w, http.StatusTooManyRequests, "admission queue full", s.retryAfterS())
-}
-
-// decodeInto strictly decodes the bounded request body into v.
-func decodeInto(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decode strictly decodes one JSON request body into v: unknown fields
+// are an error.
+func decode(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -68,144 +59,102 @@ func setTimingHeaders(h http.Header, t Timing) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
-	if err := decodeInto(w, r, &spec); err != nil {
+	if err := decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad run spec: "+err.Error(), 0)
 		return
 	}
 	res, err := resolve(&spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	p := s.getPending()
-	p.res = res
-	p.standalone = true
-	if err := s.enqueue(p); err != nil {
-		s.putPending(p)
-		s.writeAdmissionError(w, err)
-		return
-	}
-	<-p.done
-	h := w.Header()
-	if p.status != http.StatusOK {
-		h.Set("Content-Type", "application/json")
-	} else if p.res.colfmt {
-		h.Set("Content-Type", "application/octet-stream")
-		setTimingHeaders(h, p.timing)
-	} else {
-		h.Set("Content-Type", "application/json")
-	}
-	w.WriteHeader(p.status)
-	w.Write(p.buf)
-	s.putPending(p)
-}
-
-// sweepSeeds validates the sweep cardinality spec and returns the seed
-// list (Count is shorthand for 1..Count).
-func sweepSeeds(spec *SweepSpec) ([]int64, error) {
-	switch {
-	case len(spec.Seeds) > 0 && spec.Count > 0:
-		return nil, errors.New("sweep: set exactly one of seeds and count")
-	case len(spec.Seeds) > 0:
-		return spec.Seeds, nil
-	case spec.Count > 0:
-		seeds := make([]int64, spec.Count)
-		for i := range seeds {
-			seeds[i] = int64(i + 1)
-		}
-		return seeds, nil
-	default:
-		return nil, errors.New("sweep: set exactly one of seeds and count")
-	}
+	s.serveRequest(w, &res, err)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
-	if err := decodeInto(w, r, &spec); err != nil {
+	if err := decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad sweep spec: "+err.Error(), 0)
 		return
 	}
-	seeds, err := sweepSeeds(&spec)
+	res, err := resolveSweep(&spec, s.opts.QueueDepth)
+	s.serveRequest(w, &res, err)
+}
+
+// serveRequest answers a validated request (or its validation error, 400)
+// on the one request path: submit its group, then frame the response.
+func (s *Server) serveRequest(w http.ResponseWriter, res *resolved, err error) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	if len(seeds) > maxSweepRuns {
-		writeError(w, http.StatusBadRequest,
-			"sweep exceeds "+strconv.Itoa(maxSweepRuns)+" runs; split the campaign", 0)
+	g := s.getGroup(res)
+	defer s.groups.Put(g)
+	if status, retryAfterS, msg := s.submit(g); status != 0 {
+		writeError(w, status, msg, retryAfterS)
 		return
 	}
-	if len(seeds) > s.opts.QueueDepth {
-		writeError(w, http.StatusBadRequest,
-			"sweep exceeds the admission queue depth ("+strconv.Itoa(s.opts.QueueDepth)+"); split the campaign", 0)
+	if msg := g.failure(); msg != "" {
+		writeError(w, http.StatusInternalServerError, msg, 0)
 		return
 	}
-	base, err := resolve(&spec.Base)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	if len(seeds) > 1 && !base.noiseOn {
-		writeError(w, http.StatusBadRequest,
-			"sweep over multiple seeds needs base.noise.spread > 0 (seeds select noise streams)", 0)
-		return
-	}
-
-	parent := &sweepParent{
-		children: make([]*pending, len(seeds)),
-		done:     make(chan struct{}, 1),
-	}
-	for i, seed := range seeds {
-		p := s.getPending()
-		p.res = base
-		p.res.noise.Seed = seed
-		p.parent = parent
-		parent.children[i] = p
-	}
-	if err := s.enqueueSweep(parent); err != nil {
-		for _, p := range parent.children {
-			s.putPending(p)
-		}
-		s.writeAdmissionError(w, err)
-		return
-	}
-	<-parent.done
-
 	h := w.Header()
-	for _, p := range parent.children {
-		if p.status != http.StatusOK {
-			h.Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusInternalServerError)
-			w.Write(appendError(nil, "sweep run failed: "+p.errMsg, 0))
-			for _, c := range parent.children {
-				s.putPending(c)
-			}
-			return
-		}
+	if res.sweep {
+		h.Set("X-Autoe2e-Runs", strconv.Itoa(len(g.runs)))
 	}
-	h.Set("X-Autoe2e-Runs", strconv.Itoa(len(parent.children)))
-	if base.colfmt {
+	if res.colfmt {
 		h.Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		w.Write(colfmt.AppendMagic(nil))
-		for _, p := range parent.children {
-			w.Write(p.buf)
+		if !res.sweep {
+			setTimingHeaders(h, g.runs[0].timing)
 		}
 	} else {
 		h.Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		body := append([]byte(nil), `{"runs":[`...)
-		for i, p := range parent.children {
-			if i > 0 {
-				body = append(body, ',')
-			}
-			body = append(body, p.buf...)
-		}
-		body = append(body, `]}`...)
-		w.Write(body)
 	}
-	for _, p := range parent.children {
-		s.putPending(p)
+	w.WriteHeader(http.StatusOK)
+	g.writeBody(w)
+}
+
+// failure returns the error message of the finished group's first failed
+// run (prefixed for a sweep), or "" when every run succeeded.
+func (g *group) failure() string {
+	for i := range g.runs {
+		if msg := g.runs[i].errMsg; msg != "" {
+			if g.res.sweep {
+				msg = "sweep run failed: " + msg
+			}
+			return msg
+		}
+	}
+	return ""
+}
+
+// Framing pieces of the response body, shared rather than converted per
+// write.
+var (
+	colfmtMagic = colfmt.AppendMagic(nil)
+	runsOpen    = []byte(`{"runs":[`)
+	runsSep     = []byte(`,`)
+	runsClose   = []byte(`]}`)
+)
+
+// writeBody frames the successful group's runs onto w, in seed order. A
+// colfmt body is the file magic, written here once, then every run; a JSON
+// body is the run object itself for a single run and {"runs":[...]} for a
+// sweep.
+func (g *group) writeBody(w io.Writer) {
+	switch {
+	case g.res.colfmt:
+		w.Write(colfmtMagic)
+		for i := range g.runs {
+			w.Write(g.runs[i].buf)
+		}
+	case !g.res.sweep:
+		w.Write(g.runs[0].buf)
+	default:
+		w.Write(runsOpen)
+		for i := range g.runs {
+			if i > 0 {
+				w.Write(runsSep)
+			}
+			w.Write(g.runs[i].buf)
+		}
+		w.Write(runsClose)
 	}
 }
 

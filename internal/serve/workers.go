@@ -2,8 +2,8 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,41 +49,37 @@ const maxWorkerSessions = 32
 // (escape analysis charges the conversion to the converting frame).
 var nominalModel exectime.Model = exectime.Nominal{}
 
-// sweepParent fans a sweep request into per-seed pendings and joins them:
-// the worker finishing the last child signals done exactly once.
-type sweepParent struct {
-	children  []*pending
-	remaining atomic.Int32
-	done      chan struct{}
+// group is one request in flight: res.runs ≥ 1 runs of one resolved spec
+// that differ only in their noise seed — a single run is a group of one.
+// Its runs ride the queue as res.runs sends of the same pointer; each
+// worker that takes one claims the next index. Groups are pooled: the
+// caller of submit frames the response from runs once the worker
+// finishing the last run has signalled done, then returns the group.
+type group struct {
+	res      resolved
+	runs     []result
+	tEnqueue time.Time
+
+	next      atomic.Int32  // index the next worker to take this group claims
+	remaining atomic.Int32  // runs not yet finished
+	done      chan struct{} // cap 1; signalled once, by the last run's worker
 }
 
-// pending is one admitted run riding through the queue. It is pooled: the
-// handler that enqueued it waits on done, consumes buf, and returns it to
-// the pool. Workers never touch a pending after signalling it.
-type pending struct {
-	// resolved request (immutable after enqueue)
-	res        resolved
-	standalone bool // colfmt body carries its own file magic (single runs)
-
-	// response (written by the worker, read by the handler after done)
-	buf    []byte
-	status int
-	errMsg string
+// result is one run's response, written by the worker that ran it and read
+// by the group's caller after done.
+type result struct {
+	buf    []byte // the run's JSON object or colfmt run, without file magic
+	errMsg string // non-empty when the run failed (the request answers 500)
 	timing Timing
-
-	// lifecycle
-	tEnqueue time.Time
-	tPickup  time.Time
-	done     chan struct{} // cap 1; unused when parent is set
-	parent   *sweepParent
 }
 
 // Server is the batch runtime: a bounded admission queue drained by
 // work-conserving session workers — each free worker takes the oldest
 // admitted run straight off the queue, so no run waits while a worker
-// idles and a sweep's children spread over every free worker. It serves
-// both the HTTP handlers (server.go) and the in-process Execute path the
-// benchmarks drive.
+// idles and a sweep's runs spread over every free worker. Every request,
+// from the HTTP handlers (server.go) or the in-process Execute path the
+// benchmarks drive, goes through one admission call (submit) and one
+// completion signal (the group's done).
 type Server struct {
 	opts    Options
 	metrics Registry
@@ -92,10 +88,10 @@ type Server struct {
 	// by a worker); it is CASed against QueueDepth so admit sends never
 	// block once a reservation is held.
 	used  atomic.Int64
-	admit chan *pending
+	admit chan *group
 
-	// drainMu serializes admission against shutdown: enqueue holds the
-	// read side across the reservation + send, Shutdown takes the write
+	// drainMu serializes admission against shutdown: submit holds the
+	// read side across the reservation + sends, Shutdown takes the write
 	// side to flip draining and close admit exactly once.
 	drainMu  sync.RWMutex
 	draining bool
@@ -104,8 +100,8 @@ type Server struct {
 	// touched only by that worker while it runs.
 	sessions []map[shapeKey]*core.Session
 
-	wg          sync.WaitGroup
-	pendingPool sync.Pool
+	wg     sync.WaitGroup
+	groups sync.Pool
 }
 
 // NewServer starts the batch runtime: opts.Workers session workers. Stop
@@ -114,11 +110,11 @@ func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:     opts,
-		admit:    make(chan *pending, opts.QueueDepth),
+		admit:    make(chan *group, opts.QueueDepth),
 		sessions: make([]map[shapeKey]*core.Session, opts.Workers),
 	}
-	s.pendingPool.New = func() any {
-		return &pending{done: make(chan struct{}, 1)}
+	s.groups.New = func() any {
+		return &group{done: make(chan struct{}, 1)}
 	}
 	s.wg.Add(opts.Workers)
 	for i := range s.sessions {
@@ -131,22 +127,23 @@ func NewServer(opts Options) *Server {
 // Metrics exposes the server's aggregate registry.
 func (s *Server) Metrics() *Registry { return &s.metrics }
 
-// getPending checks a reset pending out of the pool.
-func (s *Server) getPending() *pending {
-	p := s.pendingPool.Get().(*pending)
-	p.res = resolved{}
-	p.standalone = false
-	p.buf = p.buf[:0]
-	p.status = 0
-	p.errMsg = ""
-	p.timing = Timing{}
-	p.parent = nil
-	return p
-}
-
-// putPending returns a consumed pending; the caller must be done with buf.
-func (s *Server) putPending(p *pending) {
-	s.pendingPool.Put(p)
+// getGroup checks a group for res out of the pool, with res.runs reset
+// result slots whose buffers keep their backing arrays.
+func (s *Server) getGroup(res *resolved) *group {
+	g := s.groups.Get().(*group)
+	g.res = *res
+	if cap(g.runs) < res.runs {
+		g.runs = make([]result, res.runs)
+	}
+	g.runs = g.runs[:res.runs]
+	for i := range g.runs {
+		r := &g.runs[i]
+		r.buf = r.buf[:0]
+		r.errMsg = ""
+		r.timing = Timing{}
+	}
+	g.next.Store(0)
+	return g
 }
 
 // tryReserve claims n admission slots, all or nothing.
@@ -181,90 +178,56 @@ func (s *Server) retryAfterS() int {
 	return sec
 }
 
-// enqueue errors classify admission failures onto HTTP statuses.
-var (
-	errQueueFull = errors.New("serve: admission queue full")
-	errDraining  = errors.New("serve: server is draining")
-)
-
-// enqueue admits one pending (reservation + queue send) or reports why it
-// cannot. On success the workers own p until one signals done.
-func (s *Server) enqueue(p *pending) error {
+// submit is the one admission gate: it reserves a queue slot for every run
+// of g, all or nothing — a half-admitted group would never finish — queues
+// them and waits until the last one is done. A refused group comes back
+// with its wire status (503 while draining, 429 when the queue is full),
+// the Retry-After hint and the error message; status 0 means every run is
+// done and g.runs holds the results.
+func (s *Server) submit(g *group) (status, retryAfterS int, msg string) {
+	n := len(g.runs)
 	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
 	if s.draining {
+		s.drainMu.RUnlock()
 		s.metrics.unavail.Add(1)
-		return errDraining
-	}
-	if !s.tryReserve(1) {
-		s.metrics.rejected.Add(1)
-		return errQueueFull
-	}
-	p.tEnqueue = time.Now()
-	s.metrics.accepted.Add(1)
-	s.admit <- p // cannot block: a reservation is held for this slot
-	return nil
-}
-
-// enqueueSweep admits a whole sweep atomically: either every child gets a
-// queue slot or none do — a half-admitted sweep would deadlock its handler.
-func (s *Server) enqueueSweep(parent *sweepParent) error {
-	n := len(parent.children)
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining {
-		s.metrics.unavail.Add(1)
-		return errDraining
+		return http.StatusServiceUnavailable, 1, "server is draining"
 	}
 	if !s.tryReserve(int64(n)) {
+		s.drainMu.RUnlock()
 		s.metrics.rejected.Add(1)
-		return errQueueFull
+		return http.StatusTooManyRequests, s.retryAfterS(), "admission queue full"
 	}
-	parent.remaining.Store(int32(n))
-	now := time.Now()
+	g.remaining.Store(int32(n))
+	g.tEnqueue = time.Now()
 	s.metrics.accepted.Add(uint64(n))
-	for _, p := range parent.children {
-		p.tEnqueue = now
-		s.admit <- p
+	for range n {
+		s.admit <- g // cannot block: a reservation is held for each slot
 	}
-	return nil
+	s.drainMu.RUnlock()
+	<-g.done
+	return 0, 0, ""
 }
 
 // worker takes admitted runs off the queue, oldest first, the moment it is
 // free. It owns one warm core.Session per workload shape and one reusable
 // noise model, so a warm request runs with the session's zero-allocation
-// steady state and serializes into the pending's recycled buffer. A run
-// that panics leaves its session torn, so the worker drops it; the next
-// request of that shape rebuilds.
+// steady state and serializes into the run's recycled buffer. A run that
+// panics leaves its session torn, so the worker drops it; the next request
+// of that shape rebuilds.
 func (s *Server) worker(sessions map[shapeKey]*core.Session) {
 	defer s.wg.Done()
 	noise := exectime.NewNoise(exectime.Nominal{}, 0, 0)
-	for p := range s.admit {
+	for g := range s.admit {
 		s.used.Add(-1)
-		p.tPickup = time.Now()
-		p.timing.QueueWaitNs = p.tPickup.Sub(p.tEnqueue).Nanoseconds()
-		shape := p.res.shape // p belongs to its handler once serveOne signals
-		sess := sessions[shape]
-		if sess == nil {
-			if len(sessions) >= maxWorkerSessions {
-				for k := range sessions {
-					delete(sessions, k)
-					break
-				}
-			}
-			sess = core.NewSession()
-			sessions[shape] = sess
-		}
-		if !s.serveOne(sess, noise, p) {
-			delete(sessions, shape)
-		}
+		s.serveOne(sessions, noise, g)
 	}
 }
 
-// serveOne runs one pending to completion: simulate, serialize, record
-// metrics, signal the waiter. The pending must not be touched afterwards —
-// signalling transfers ownership back to the handler. It reports false
-// when the run panicked, in which case sess is torn and must be dropped.
+// serveOne claims and runs one of g's runs: session lookup, simulate,
+// serialize, record metrics, and — for the group's last run — signal done.
+// A run that panicked leaves its session torn, so it is dropped from
+// sessions. The group must not be touched after its remaining count is
+// dropped: another worker's last run may hand it back to its caller.
 //
 // serveOne is deliberately NOT an effects //lint:certify root: the session
 // warm path it rides is certified at its own roots (core.runWarm /
@@ -274,79 +237,82 @@ func (s *Server) worker(sessions map[shapeKey]*core.Session) {
 // //lint:certify noalloc roots on its serializers (appendSummary,
 // appendTiming) and on Registry.observe, and by the steady-state
 // allocation gate in serve_test.go.
-func (s *Server) serveOne(sess *core.Session, noise *exectime.Noise, p *pending) bool {
-	ok := s.runGuarded(sess, noise, p)
-	s.metrics.observe(p.timing)
-	s.metrics.completed.Add(1)
-	if p.parent != nil {
-		if p.parent.remaining.Add(-1) == 0 {
-			p.parent.done <- struct{}{}
+func (s *Server) serveOne(sessions map[shapeKey]*core.Session, noise *exectime.Noise, g *group) {
+	pickup := time.Now()
+	i := int(g.next.Add(1)) - 1
+	r := &g.runs[i]
+	r.timing.QueueWaitNs = pickup.Sub(g.tEnqueue).Nanoseconds()
+	sess := sessions[g.res.shape]
+	if sess == nil {
+		if len(sessions) >= maxWorkerSessions {
+			for k := range sessions {
+				delete(sessions, k)
+				break
+			}
 		}
-		return ok
+		sess = core.NewSession()
+		sessions[g.res.shape] = sess
 	}
-	p.done <- struct{}{}
-	return ok
+	if !s.runGuarded(sess, noise, &g.res, i, r, pickup) {
+		delete(sessions, g.res.shape)
+	}
+	s.metrics.observe(r.timing)
+	s.metrics.completed.Add(1)
+	if g.remaining.Add(-1) == 0 {
+		g.done <- struct{}{}
+	}
 }
 
-// runGuarded is serveOne's simulate + serialize step behind a panic
-// barrier: a panic anywhere in it (the test hook, the run, the encoders)
-// answers this one request 500, is counted, and reports false instead of
-// taking the process down.
-func (s *Server) runGuarded(sess *core.Session, noise *exectime.Noise, p *pending) (ok bool) {
+// runGuarded is serveOne's simulate + serialize step for run i of res
+// behind a panic barrier: a panic anywhere in it (the test hook, the run,
+// the encoders) fails this one run, is counted, and reports false instead
+// of taking the process down.
+func (s *Server) runGuarded(sess *core.Session, noise *exectime.Noise, res *resolved, i int, r *result, pickup time.Time) (ok bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			p.status = 500
-			p.errMsg = fmt.Sprint("run panicked: ", r)
-			p.buf = appendError(p.buf[:0], p.errMsg, 0)
+		if p := recover(); p != nil {
+			r.errMsg = fmt.Sprint("run panicked: ", p)
 			s.metrics.panics.Add(1)
 			ok = false
 		}
 	}()
-	if p.res.hook != nil {
-		p.res.hook()
+	if res.hook != nil {
+		res.hook()
 	}
 	start := time.Now()
-	p.timing.BatchWaitNs = start.Sub(p.tPickup).Nanoseconds()
+	r.timing.BatchWaitNs = start.Sub(pickup).Nanoseconds()
 
 	exec := nominalModel
-	if p.res.noiseOn {
-		noise.Reseed(p.res.noise.Spread, p.res.noise.Seed)
+	if res.noiseOn {
+		noise.Reseed(res.noise.Spread, res.seed(i))
 		exec = noise
 	}
-	res, err := sess.Run(core.RunConfig{
-		System:     p.res.sys,
+	out, err := sess.Run(core.RunConfig{
+		System:     res.sys,
 		Exec:       exec,
-		Middleware: core.Config{Mode: p.res.mode},
-		Duration:   p.res.duration,
+		Middleware: core.Config{Mode: res.mode},
+		Duration:   res.duration,
 	})
 	tRun := time.Now()
-	p.timing.RunNs = tRun.Sub(start).Nanoseconds()
+	r.timing.RunNs = tRun.Sub(start).Nanoseconds()
 
 	if err != nil {
-		p.status = 500
-		p.errMsg = err.Error()
-		p.buf = appendError(p.buf[:0], p.errMsg, 0)
+		r.errMsg = err.Error()
 		s.metrics.runErrors.Add(1)
 		return true
 	}
-	p.status = 200
-	p.buf = p.buf[:0]
-	if p.res.colfmt {
-		if p.standalone {
-			p.buf = colfmt.AppendMagic(p.buf)
-		}
-		p.buf = colfmt.AppendRun(p.buf, res.Trace)
-		p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
+	if res.colfmt {
+		r.buf = colfmt.AppendRun(r.buf, out.Trace)
+		r.timing.SerializeNs = time.Since(tRun).Nanoseconds()
 		return true
 	}
-	p.buf = append(p.buf, `{"summary":`...)
-	p.buf = appendSummary(p.buf, p.res.mode, p.res.durationS, res)
+	r.buf = append(r.buf, `{"summary":`...)
+	r.buf = appendSummary(r.buf, res.mode, res.durationS, out)
 	// SerializeNs covers the summary encode; the timing block that reports
 	// it is appended after the clock is read.
-	p.timing.SerializeNs = time.Since(tRun).Nanoseconds()
-	p.buf = append(p.buf, `,"timing_ns":`...)
-	p.buf = appendTiming(p.buf, p.timing)
-	p.buf = append(p.buf, '}')
+	r.timing.SerializeNs = time.Since(tRun).Nanoseconds()
+	r.buf = append(r.buf, `,"timing_ns":`...)
+	r.buf = appendTiming(r.buf, r.timing)
+	r.buf = append(r.buf, '}')
 	return true
 }
 
@@ -378,43 +344,48 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Close() error { return s.Shutdown(context.Background()) }
 
 // Response is the caller-owned result slot of the in-process Execute path.
-// Body is recycled across calls; Status mirrors the HTTP handler's code.
+// Body is recycled across calls; Status and Body are what the HTTP handler
+// would answer.
 type Response struct {
 	Status int
 	Body   []byte
 	Timing Timing
 }
 
-// Execute runs one spec through the full admission + worker + session
-// pipeline without HTTP framing: the alloc-gate tests and the serve
-// benchmark drive this to measure the runtime itself. resp is reused —
-// Body keeps its backing array across calls.
+// Execute runs one spec through the same admission + worker + session
+// pipeline as POST /v1/run, without HTTP framing: the alloc-gate tests and
+// the serve benchmark drive this to measure the runtime itself. resp is
+// reused — Body keeps its backing array across calls.
 func (s *Server) Execute(spec *RunSpec, resp *Response) {
-	r, err := resolve(spec)
+	resp.Timing = Timing{}
+	res, err := resolve(spec)
 	if err != nil {
-		resp.Status = 400
+		resp.Status = http.StatusBadRequest
 		resp.Body = appendError(resp.Body[:0], err.Error(), 0)
-		resp.Timing = Timing{}
 		return
 	}
-	p := s.getPending()
-	p.res = r
-	p.standalone = true
-	if err := s.enqueue(p); err != nil {
-		s.putPending(p)
-		if errors.Is(err, errDraining) {
-			resp.Status = 503
-			resp.Body = appendError(resp.Body[:0], err.Error(), 0)
-		} else {
-			resp.Status = 429
-			resp.Body = appendError(resp.Body[:0], err.Error(), s.retryAfterS())
-		}
-		resp.Timing = Timing{}
+	g := s.getGroup(&res)
+	defer s.groups.Put(g)
+	if status, retryAfterS, msg := s.submit(g); status != 0 {
+		resp.Status = status
+		resp.Body = appendError(resp.Body[:0], msg, retryAfterS)
 		return
 	}
-	<-p.done
-	resp.Status = p.status
-	resp.Body = append(resp.Body[:0], p.buf...)
-	resp.Timing = p.timing
-	s.putPending(p)
+	resp.Timing = g.runs[0].timing
+	if msg := g.failure(); msg != "" {
+		resp.Status = http.StatusInternalServerError
+		resp.Body = appendError(resp.Body[:0], msg, 0)
+		return
+	}
+	resp.Status = http.StatusOK
+	resp.Body = resp.Body[:0]
+	g.writeBody((*appendWriter)(&resp.Body))
+}
+
+// appendWriter is an io.Writer that appends to a caller-owned buffer.
+type appendWriter []byte
+
+func (b *appendWriter) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
 }

@@ -119,17 +119,20 @@ perfbench-smoke:
 		GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod $(GO) test -short .
 
 # fuzz-smoke runs every native fuzz target — the three colfmt codec
-# targets, the inner MPC solver's and the serve request boundary's (decode
-# and validation only) — for a fixed number of inputs
-# (-fuzztime Nx, so the amount of work does not depend on machine speed) on
-# one worker. go test fuzzes one target per invocation, hence one line each.
-# A failing input is written under the package's testdata/fuzz/ for replay.
+# targets, the inner MPC solver's, the serve request boundary's (decode
+# and validation only) and the fork-versus-replay target (each input runs
+# a scenario three times, so it gets fewer inputs) — for a fixed number of
+# inputs (-fuzztime Nx, so the amount of work does not depend on machine
+# speed) on one worker. go test fuzzes one target per invocation, hence
+# one line each. A failing input is written under the package's
+# testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5000x -parallel 1 ./internal/trace/colfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRoundTrip$$' -fuzztime 5000x -parallel 1 ./internal/trace/colfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderRobustness$$' -fuzztime 5000x -parallel 1 ./internal/trace/colfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveNormal$$' -fuzztime 5000x -parallel 1 ./internal/eucon
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestBoundary$$' -fuzztime 5000x -parallel 1 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzForkMatchesReplay$$' -fuzztime 50x -parallel 1 ./internal/scenario
 
 # loc prints the production Go line count per package directory and the
 # total: every .go file except _test.go files, skipping the directories

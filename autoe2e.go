@@ -131,7 +131,7 @@ type (
 	// Fork is one divergent continuation of a branching campaign.
 	Fork = core.Fork
 	// TreeConfig describes a branching campaign: a shared prefix run once
-	// to ForkAt, then every Fork continued from the snapshot.
+	// to ForkAt, then every Fork continued from a copy of it.
 	TreeConfig = core.TreeConfig
 )
 
@@ -176,8 +176,8 @@ func RunStream(next func() (RunConfig, bool), workers int, onResult func(i int, 
 }
 
 // RunTree executes a branching campaign: the shared prefix runs exactly
-// once to ForkAt, is snapshotted, and every fork continues from the
-// snapshot on the worker pool — never replaying the prefix. Each result is
+// once to ForkAt, and every fork continues on the worker pool from a copy
+// of the live prefix session — never replaying the prefix. Each result is
 // byte-identical to a fresh full run with that fork's mutation applied at
 // ForkAt, returned in fork order.
 func RunTree(tc TreeConfig) ([]*RunResult, error) { return core.RunTree(tc) }

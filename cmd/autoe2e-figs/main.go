@@ -538,7 +538,7 @@ var forkAtSec = 10.0
 // figFork — the branching icy-road sweep: the motivation scenario (static
 // rates, steering-MPC execution time ×1.94 from t = 5 s) runs its shared
 // prefix exactly once to -fork-at, then every candidate path-tracking rate
-// continues from the snapshot as its own fork. Each continuation is
+// continues from a copy of the prefix as its own fork. Each continuation is
 // byte-identical to a fresh 30 s run that applied the rate at the fork
 // instant (the RunTree contract), so the sweep answers "which rate would
 // have contained the icy-road misses?" for the cost of one prefix plus N

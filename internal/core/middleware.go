@@ -236,6 +236,27 @@ func (m *Middleware) Reset() {
 	m.err = nil
 }
 
+// copyFrom overwrites m's run state — both controllers' cross-period
+// state and the tick bookkeeping — with src's. Both middlewares must be
+// built for the same system shape and config; src is only read. The
+// decentralized inner controller carries no cross-period state, so Reset
+// is its full copy.
+func (m *Middleware) copyFrom(src *Middleware) {
+	if c, ok := m.inner.(*eucon.Controller); ok {
+		c.CopyFrom(src.inner.(*eucon.Controller))
+	} else if m.inner != nil {
+		m.inner.Reset()
+	}
+	if m.outer != nil {
+		m.outer.CopyFrom(src.outer)
+	}
+	m.onInner = src.onInner
+	m.innerCount = src.innerCount
+	m.lastCounters = append(m.lastCounters[:0], src.lastCounters...)
+	m.started = src.started
+	m.err = src.err
+}
+
 // solveStats reports the centralized inner MPC's solve totals, or zero when
 // the run has no such controller.
 func (m *Middleware) solveStats() eucon.SolveStats {

@@ -27,11 +27,11 @@ type TreeConfig struct {
 	// Base builds the campaign's run configuration. It is called once for
 	// the shared prefix and once per fork, so that stateful models (seeded
 	// Noise streams, CAN jitter buses) are freshly constructed per worker
-	// run — Resume rewinds each fresh stack to the snapshot's stream
+	// run — Resume rewinds each fresh stack to the prefix's stream
 	// states, giving every branch the prefix's exact history. Base must
 	// return an equivalent config each call: same System pointer, same
 	// middleware config, same model stack shape, same Events. Attach is not
-	// supported (its closures cannot be snapshotted); keep scripted
+	// supported (its closures cannot be copied); keep scripted
 	// behavior in Events.
 	Base func() RunConfig
 	// ForkAt is the divergence instant, in (0, Duration).
@@ -43,9 +43,10 @@ type TreeConfig struct {
 	Workers int
 }
 
-// RunTree executes a branching campaign: the shared prefix runs once, is
-// snapshotted at ForkAt, and every fork continues from the snapshot in
-// parallel — the prefix is never replayed. Each fork's result is
+// RunTree executes a branching campaign: the shared prefix runs once to
+// ForkAt on a session of its own, and every fork continues, in parallel,
+// on a worker session copied straight from it — the prefix is never
+// replayed and no Checkpoint is taken. Each fork's result is
 // byte-identical (traces, counters, final state) to a fresh full run whose
 // scenario appends that fork's mutation and events to the base config's;
 // the fork golden and fuzz tests pin this. Results are returned in fork
@@ -93,10 +94,10 @@ func RunTreeInto(tc TreeConfig, recycle []*RunResult) ([]*RunResult, error) {
 		workers = len(tc.Forks)
 	}
 
-	// Sized to the Stream slot count: each in-flight fork owns its slot's
-	// session until its ordered emit, so results survive out-of-order
-	// completion without cloning.
-	sessions := make([]*Session, parallel.Slots(workers))
+	// One session per Stream slot, so each in-flight fork owns its slot's
+	// session until its ordered emit and results survive out-of-order
+	// completion without cloning, plus one for the shared prefix.
+	sessions := make([]*Session, parallel.Slots(workers)+1)
 	checkoutSessions(sessions)
 	completed := false
 	defer func() {
@@ -106,19 +107,24 @@ func RunTreeInto(tc TreeConfig, recycle []*RunResult) ([]*RunResult, error) {
 			returnSessions(sessions)
 		}
 	}()
-	if sessions[0] == nil {
-		sessions[0] = NewSession()
+	for i, s := range sessions {
+		if s == nil {
+			sessions[i] = NewSession()
+		}
 	}
+	prefix := sessions[len(sessions)-1]
 
-	// Shared prefix: run to the fork instant once and capture everything.
-	// A failed prefix leaves the session consistent (its next run resets
-	// every component), so the pool still gets the sessions back.
-	if err := sessions[0].RunPartial(base, tc.ForkAt); err != nil {
+	// Shared prefix: run to the fork instant once. A failed prefix leaves
+	// the session consistent (its next run resets every component), so the
+	// pool still gets the sessions back. Every fork copies this session;
+	// the first copy is taken here, so a prefix holding an event no copy
+	// can rebind (an Attach ticker) fails the campaign once, as a prefix
+	// error.
+	if err := prefix.RunPartial(base, tc.ForkAt); err != nil {
 		completed = true
 		return nil, fmt.Errorf("core: prefix: %w", err)
 	}
-	cp, err := sessions[0].Snapshot()
-	if err != nil {
+	if err := sessions[0].copyFrom(prefix); err != nil {
 		completed = true
 		return nil, fmt.Errorf("core: prefix: %w", err)
 	}
@@ -140,17 +146,14 @@ func RunTreeInto(tc TreeConfig, recycle []*RunResult) ([]*RunResult, error) {
 	}
 	parallel.Stream(next, workers,
 		func(slot, _ int, i int) outcome {
+			// The prefix session is only read while forks copy from it.
 			s := sessions[slot]
-			if s == nil {
-				s = NewSession()
-				sessions[slot] = s
-			}
-			if err := s.Restore(cp); err != nil {
+			if err := s.copyFrom(prefix); err != nil {
 				return outcome{nil, err}
 			}
 			fork := tc.Forks[i]
 			cfgW := tc.Base()
-			// The restored session is pinned to the snapshot's System
+			// The copied session is pinned to the prefix's System
 			// pointer; Base may legitimately construct config scaffolding
 			// afresh, so the worker config's System is dropped rather than
 			// compared (the scheduler passes its own system to the models,

@@ -52,30 +52,26 @@ type Session struct {
 	// resumeArgs holds the scenario events injected by Resume calls. It is
 	// separate from eventArgs (and append-only across consecutive Resumes)
 	// because the engine holds pointers into both while events are
-	// pending; only a fresh run or a Restore may rebuild them.
+	// pending; only a fresh run or a session copy may rebuild them.
 	resumeArgs []sessionEvent
 	// rands are the live random streams registered by the current
-	// RunPartial/Resume config; Snapshot captures their states.
+	// RunPartial/Resume config; a session copy takes their states.
 	//lint:sticky live stream registry, rewritten by RunPartial/Resume and truncated by execute before any read
 	rands []*simtime.Rand
-	// randStates, when non-empty, are checkpoint states the next Resume
-	// must rewind its streams to (set by Restore, consumed by Resume).
-	//lint:sticky rewind buffer, set by Restore and consumed by the next Resume; execute truncates it
+	// randStates, when non-empty, are copied stream states the next Resume
+	// must rewind its streams to (set by copyFrom, consumed by Resume).
+	//lint:sticky rewind buffer, set by a copy and consumed by the next Resume; execute truncates it
 	randStates []simtime.RandState
-	// encodeFn/decodeFn are the cached method values handed to the engine
-	// checkpoint, bound once per rebuild so Snapshot/Restore allocate no
-	// closures at steady state.
-	encodeFn func(arg any) (simtime.EventArg, error)
-	decodeFn func(arg simtime.EventArg) any
 
+	//lint:sticky published view of the last completed run, rewritten by execute and Resume before they return it
 	res RunResult
 }
 
 // sessionEvent binds one scripted scenario action to the session state so
 // the engine trampoline can dispatch it without a per-event closure. idx is
 // the event's position in its owning buffer (eventArgs, or resumeArgs when
-// resume is set), which is how snapshots encode pending event arguments
-// symbolically.
+// resume is set), which is how a session copy rebinds a pending event to
+// the copy's own buffer.
 type sessionEvent struct {
 	st     *taskmodel.State
 	do     func(st *taskmodel.State)
@@ -315,8 +311,6 @@ func (s *Session) rebuild(cfg RunConfig, mwCfg Config, schedCfg sched.Config) er
 	}
 	s.eng, s.rec, s.state, s.sch, s.mw = eng, rec, state, scheduler, mw
 	s.sys, s.mwCfg = cfg.System, mwCfg
-	s.encodeFn = s.encodeEventArg
-	s.decodeFn = s.decodeEventArg
 	s.built = true
 	return nil
 }

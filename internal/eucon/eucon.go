@@ -182,6 +182,18 @@ func (c *Controller) Reset() {
 	c.stats = SolveStats{}
 }
 
+// CopyFrom overwrites c's cross-period state — the previous move, the
+// warm-start solution and the solve totals — with src's. Everything else
+// is structural or per-step scratch, the solver workspace included. Both
+// controllers must be built from the same system shape and config; then
+// c's next Step is bit-identical to src's next Step. src is only read.
+func (c *Controller) CopyFrom(src *Controller) {
+	copy(c.prevDelta, src.prevDelta)
+	copy(c.prevX, src.prevX)
+	c.warm = src.warm
+	c.stats = src.stats
+}
+
 // SolveStats reports the solver totals since New or the last Reset.
 func (c *Controller) SolveStats() SolveStats { return c.stats }
 

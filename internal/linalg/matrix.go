@@ -222,18 +222,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// AddMatrix returns m + b as a new matrix.
-func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("linalg: AddMatrix shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	s := ""

@@ -28,16 +28,6 @@ func NormInf(v []float64) float64 {
 	return m
 }
 
-// Axpy computes y ← y + alpha·x in place.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: Axpy length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
 // Sub returns a − b as a new vector.
 func Sub(a, b []float64) []float64 {
 	if len(a) != len(b) {

@@ -298,8 +298,8 @@ func TestAllowHygiene(t *testing.T) {
 // would prove nothing. A function that must not allocate is either inside
 // the reach of a //lint:certify noalloc root or becomes one.
 const (
-	repoAllowCount     = 50 // -21: allows that suppressed nothing (stale-allow check) are gone
-	repoStickyCount    = 20 // -6: BoxLSQWorkspace carries no warm state and is no longer a pooled type
+	repoAllowCount     = 49 // -1: trace.PlotASCII, whose degenerate-range guard carried a floateq allow, is gone
+	repoStickyCount    = 21 // +1: Session.res, the published result view, which the Session copy leaves to Resume
 	repoNoallocCount   = 0  // -27: 19 sat inside a noalloc root's reach; the rest became certify roots
 	repoCertifyCount   = 24 // +5: simtime.Engine.After, colfmt.AppendMagic/AppendRun, serve.appendSummary/appendTiming
 	repoHookpointCount = 17 // -3: Middleware driver dispatch; only the pooled Scheduler implements sched.Driver in non-test code

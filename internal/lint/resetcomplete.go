@@ -73,15 +73,17 @@ var pooledRegistry = []pooledEntry{
 	{pkgSuffix: "internal/precision", typeName: "Detector", method: "ResetAll"},
 	{pkgSuffix: "internal/core", typeName: "Middleware", method: "Reset"},
 	{pkgSuffix: "internal/core", typeName: "Session", method: "Run"},
-	// Checkpoint types are pooled through SnapshotInto recycling: their
-	// CaptureFrom must overwrite every field, or a recycled checkpoint
-	// leaks one capture's state into the next — the same bug class as a
-	// partial Reset, on the snapshot side.
-	{pkgSuffix: "internal/simtime", typeName: "EngineCheckpoint", method: "CaptureFrom"},
-	{pkgSuffix: "internal/sched", typeName: "SchedulerCheckpoint", method: "CaptureFrom"},
-	{pkgSuffix: "internal/eucon", typeName: "ControllerCheckpoint", method: "CaptureFrom"},
-	{pkgSuffix: "internal/precision", typeName: "ControllerCheckpoint", method: "CaptureFrom"},
-	{pkgSuffix: "internal/core", typeName: "Checkpoint", method: "captureFrom"},
+	// Snapshot, Restore and RunTree forks copy a live session into another
+	// through one same-shape copy method per stateful type: it must
+	// overwrite every run-state field, or the copy silently keeps the
+	// destination's own stale value — the same bug class as a partial
+	// Reset, on the fork side.
+	{pkgSuffix: "internal/simtime", typeName: "Engine", method: "CopyFrom"},
+	{pkgSuffix: "internal/sched", typeName: "Scheduler", method: "CopyFrom"},
+	{pkgSuffix: "internal/eucon", typeName: "Controller", method: "CopyFrom"},
+	{pkgSuffix: "internal/precision", typeName: "Controller", method: "CopyFrom"},
+	{pkgSuffix: "internal/core", typeName: "Middleware", method: "copyFrom"},
+	{pkgSuffix: "internal/core", typeName: "Session", method: "copyFrom"},
 }
 
 func runResetComplete(pass *Pass) {
@@ -416,12 +418,12 @@ func rootIdentOf(e ast.Expr) *ast.Ident {
 
 // isResetLikeName recognizes method names that imply a full overwrite of
 // their receiver: Reset variants restore pooled values for reuse, and
-// CaptureFrom variants overwrite checkpoint components — their
-// assign-every-field contract is itself enforced on each registered
-// checkpoint type, so a sub-capture call counts as restoring the field.
+// CopyFrom variants overwrite a component with another's state — their
+// copy-every-field contract is itself enforced on each registered type, so
+// a sub-copy call counts as restoring the field.
 func isResetLikeName(name string) bool {
 	lower := strings.ToLower(name)
-	return strings.Contains(lower, "reset") || strings.Contains(lower, "capturefrom")
+	return strings.Contains(lower, "reset") || strings.Contains(lower, "copyfrom")
 }
 
 // resetAssigned walks the reset method (transitively through same-type

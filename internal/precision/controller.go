@@ -316,6 +316,20 @@ func (o *Controller) Reset() {
 	o.snapshotFloors()
 }
 
+// CopyFrom overwrites o's cross-period state — the restore phase machine,
+// the latched rate-floor drop, the bisection round counter, the previous
+// rate floors and the saturation detector's per-ECU streaks — with src's.
+// The knapsack Workspace and the Result buffers are per-step scratch. Both
+// controllers must be built from the same system shape and config; src is
+// only read.
+func (o *Controller) CopyFrom(src *Controller) {
+	o.phase = src.phase
+	o.dropPending = src.dropPending
+	o.restoreRoundCount = src.restoreRoundCount
+	copy(o.prevFloors, src.prevFloors)
+	copy(o.det.counts, src.det.counts)
+}
+
 // snapshotFloors records the rate floors seen this outer period so the next
 // Step can detect fresh drops.
 func (o *Controller) snapshotFloors() {

@@ -220,43 +220,131 @@ func TestForkCANBusJitter(t *testing.T) {
 	requireRunsIdentical(t, "fork with CAN jitter", fresh, got)
 }
 
-// TestForkGoldenFuzz sweeps randomized scenario/seed/fork-time triples —
-// fork instants deliberately not aligned to control periods — through the
-// restore-into-fresh-session path. Any snapshot field not captured, any
-// stream not rewound, any event mis-ordered shows up as a byte diff.
-func TestForkGoldenFuzz(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fork fuzz sweep is slow")
+// fuzzForkCase maps a fuzz input to a fork case: scenario picks the
+// family (taken modulo the family count), seed its noise stream, and
+// offsetUs the fork instant, folded into the family's fork window so
+// every input forks strictly inside the run. Fork instants are
+// deliberately not aligned to control periods.
+func fuzzForkCase(scenario uint8, seed, offsetUs int64) forkCase {
+	families := []struct {
+		mk     func() core.RunConfig
+		lo, hi float64 // fork window, s
+		mutate func(st *taskmodel.State)
+	}{
+		{
+			mk:     func() core.RunConfig { return Motivation(1+float64(uint64(seed)%1000)/1000, seed) },
+			lo:     2,
+			hi:     28,
+			mutate: func(st *taskmodel.State) { st.SetRate(workload.SimPathTracking, 38) },
+		},
+		{
+			mk:     func() core.RunConfig { return TestbedRestore(seed) },
+			lo:     5,
+			hi:     115,
+			mutate: func(st *taskmodel.State) { st.SetRateFloor(workload.TestbedSteerCtrl, 17) },
+		},
+		{
+			mk:     func() core.RunConfig { return SimAcceleration(core.ModeEUCON, seed) },
+			lo:     3,
+			hi:     57,
+			mutate: func(st *taskmodel.State) { st.SetRateFloor(workload.SimACC, 32) },
+		},
+		{
+			mk:     func() core.RunConfig { return SimAcceleration(core.ModeAutoE2E, seed) },
+			lo:     3,
+			hi:     57,
+			mutate: func(st *taskmodel.State) { st.SetRateFloor(workload.SimACC, 32) },
+		},
+		{
+			// Open loop on one overloaded ECU: every fast release preempts
+			// the slow task or the chain's second stage.
+			mk: func() core.RunConfig {
+				cfg := singleStageOverload()
+				cfg.Exec = exectime.NewNoise(exectime.Nominal{}, ExecNoise, seed)
+				return cfg
+			},
+			lo:     1,
+			hi:     19,
+			mutate: func(st *taskmodel.State) { st.SetRate(1, 30) },
+		},
+		{
+			// The same workload at nominal demand, so completions land on
+			// release instants: the schedule repeats every 100 ms.
+			mk: func() core.RunConfig {
+				cfg := singleStageOverload()
+				cfg.Exec = exectime.Nominal{}
+				return cfg
+			},
+			lo:     1,
+			hi:     19,
+			mutate: func(st *taskmodel.State) { st.SetRate(1, 30) },
+		},
 	}
-	rng := simtime.NewRand(19)
-	const rounds = 8
-	for round := 0; round < rounds; round++ {
-		seed := int64(rng.Intn(1000)) + 1
-		var fc forkCase
-		switch rng.Intn(3) {
-		case 0:
-			factor := 1.0 + rng.Float64()
-			fc.mk = func() core.RunConfig { return Motivation(factor, seed) }
-			fc.forkAt = simtime.At(2).Add(simtime.Duration(rng.Intn(26_000_000))) // (2 s, 28 s) in µs
-			fc.mutate = func(st *taskmodel.State) { st.SetRate(workload.SimPathTracking, 38) }
-		case 1:
-			fc.mk = func() core.RunConfig { return TestbedRestore(seed) }
-			fc.forkAt = simtime.At(5).Add(simtime.Duration(rng.Intn(110_000_000))) // (5 s, 115 s)
-			fc.mutate = func(st *taskmodel.State) { st.SetRateFloor(workload.TestbedSteerCtrl, 17) }
-		default:
-			mode := core.ModeEUCON
-			if rng.Intn(2) == 1 {
-				mode = core.ModeAutoE2E
-			}
-			fc.mk = func() core.RunConfig { return SimAcceleration(mode, seed) }
-			fc.forkAt = simtime.At(3).Add(simtime.Duration(rng.Intn(54_000_000))) // (3 s, 57 s)
-			fc.mutate = func(st *taskmodel.State) { st.SetRateFloor(workload.SimACC, 32) }
+	f := families[int(scenario)%len(families)]
+	span := int64(simtime.FromSeconds(f.hi - f.lo))
+	off := offsetUs % span
+	if off < 0 {
+		off += span
+	}
+	return forkCase{
+		mk:     f.mk,
+		forkAt: simtime.At(f.lo).Add(simtime.Duration(off)),
+		mutate: f.mutate,
+	}
+}
+
+// FuzzForkMatchesReplay forks scenario/seed/instant triples through both
+// copy paths — a Checkpoint restored into a fresh session, and RunTree's
+// forks copied straight from the live prefix session — and requires each
+// to match the fresh replay byte for byte. Any state a copy misses, any
+// stream not rewound, any event mis-ordered shows up as a diff.
+//
+// The seed corpus holds the eight draws of the earlier randomized sweep,
+// a fork at a preemption instant (10.02 s in the overloaded workload: a
+// fast release preempting the running slow job) and one at an instant
+// where a completion and releases coincide (10.02 s at nominal demand:
+// the chain's first stage completes as the fast task and the chain's
+// second stage release).
+func FuzzForkMatchesReplay(f *testing.F) {
+	for _, in := range []struct {
+		scenario       uint8
+		seed, offsetUs int64
+	}{
+		{2, 380, 10_117_863},
+		{3, 527, 9_280_842},
+		{1, 379, 54_369_200},
+		{2, 672, 15_565_252},
+		{2, 188, 34_775_729},
+		{1, 968, 71_494_060},
+		{1, 716, 44_700_956},
+		{3, 120, 41_505_385},
+		{4, 3, 9_020_000},
+		{5, 0, 9_020_000},
+	} {
+		f.Add(in.scenario, in.seed, in.offsetUs)
+	}
+	f.Fuzz(func(t *testing.T, scenario uint8, seed, offsetUs int64) {
+		if testing.Short() {
+			t.Skip("fork fuzz is slow")
 		}
+		fc := fuzzForkCase(scenario, seed, offsetUs)
 		fresh := freshWithFork(t, fc)
+
 		cp, chains := prefixAndSnapshot(t, core.NewSession(), fc)
-		got := resumeObserved(t, core.NewSession(), cp, fc, chains)
-		requireRunsIdentical(t, "fork fuzz round", fresh, got)
-	}
+		requireRunsIdentical(t, "fork restored from a checkpoint", fresh, resumeObserved(t, core.NewSession(), cp, fc, chains))
+
+		tree, err := core.RunTree(core.TreeConfig{
+			Base:    fc.mk,
+			ForkAt:  fc.forkAt,
+			Forks:   []core.Fork{{Mutate: fc.mutate}},
+			Workers: 1,
+		})
+		if err != nil {
+			t.Fatalf("RunTree: %v", err)
+		}
+		fresh.chains = nil // RunTree results carry no chain log
+		requireRunsIdentical(t, "fork copied from the prefix session", fresh, observe(t, tree[0], nil))
+	})
 }
 
 // TestRunTreeGolden drives the whole-campaign API: every fork's result must

@@ -172,8 +172,8 @@ func (e *ecuRunner) reset(now simtime.Time) {
 // higherPriorityThan. Each queued job records its position in index (-1
 // once it leaves), which is what lets abort remove it in O(log n). The
 // order is total, so the pop sequence does not depend on the heap layout;
-// a checkpoint copies the array positionally and the heap invariant comes
-// with it.
+// Scheduler.CopyFrom copies the array positionally and the heap invariant
+// comes with it.
 type readyHeap []*job
 
 // push adds j to the heap.

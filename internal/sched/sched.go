@@ -24,6 +24,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/autoe2e/autoe2e/internal/exectime"
@@ -274,6 +275,119 @@ func (s *Scheduler) Reset(cfg Config) {
 	}
 	s.nextSeq = 0
 	s.started = false
+}
+
+// Reconfigure swaps the behavioral configuration — execution-time model,
+// link-delay model, chain observer, sync policy — without touching any
+// execution state. Session.Resume uses it to install the continuation's
+// models on a copied or partially run scheduler.
+func (s *Scheduler) Reconfigure(cfg Config) {
+	if cfg.Exec == nil {
+		panic("sched: Config.Exec is required")
+	}
+	s.cfg = cfg
+}
+
+// CopyFrom overwrites s's execution state with src's: configuration,
+// per-task counters, release guards, the due chains, both pools with
+// their free lists, and every ECU runner. Both schedulers must be built
+// over the same system shape; src is only read. Pooled objects are copied
+// whole and their cross-references re-pointed into s's pools by pool
+// index, so s's pools end up mirroring src's slot for slot. Objects s
+// owns beyond src's pool sizes are pushed onto the copied free lists: that
+// changes which physical object a later allocation hands out, but nothing
+// observable, since every allocation site initializes the object.
+//
+// The engine is copied separately (simtime.Engine.CopyFrom, with
+// RebindArg), after this, so pending events rebind into the copied pools;
+// the EventIDs copied here stay valid because the engine copy keeps slot
+// generations.
+func (s *Scheduler) CopyFrom(src *Scheduler) {
+	s.cfg = src.cfg
+	s.counters = append(s.counters[:0], src.counters...)
+	s.lastRel = append(s.lastRel[:0], src.lastRel...)
+	for len(s.allChains) < len(src.allChains) {
+		s.allChains = append(s.allChains, &chain{poolIdx: int32(len(s.allChains))})
+	}
+	for len(s.allJobs) < len(src.allJobs) {
+		s.allJobs = append(s.allJobs, &job{poolIdx: int32(len(s.allJobs))})
+	}
+	for i, c := range src.allChains {
+		d := s.allChains[i]
+		*d = *c
+		d.s = s
+		d.job = s.jobAt(c.job)
+		d.nextFree = s.chainAt(c.nextFree)
+	}
+	for i, j := range src.allJobs {
+		d := s.allJobs[i]
+		*d = *j
+		d.chain = s.chainAt(j.chain)
+		d.nextFree = s.jobAt(j.nextFree)
+	}
+	for i, c := range src.due {
+		s.due[i] = s.chainAt(c)
+	}
+	s.freeChain = s.chainAt(src.freeChain)
+	s.freeJob = s.jobAt(src.freeJob)
+	for _, c := range s.allChains[len(src.allChains):] {
+		*c = chain{s: s, nextFree: s.freeChain, poolIdx: c.poolIdx}
+		s.freeChain = c
+	}
+	for _, j := range s.allJobs[len(src.allJobs):] {
+		*j = job{index: -1, nextFree: s.freeJob, poolIdx: j.poolIdx}
+		s.freeJob = j
+	}
+	for i, e := range s.ecus {
+		ready := e.ready[:0]
+		*e = *src.ecus[i]
+		e.sched = s
+		e.ready = ready
+		for _, j := range src.ecus[i].ready {
+			e.ready = append(e.ready, s.jobAt(j))
+		}
+		e.running = s.jobAt(e.running)
+	}
+	s.nextSeq = src.nextSeq
+	s.started = src.started
+}
+
+// chainAt and jobAt map a pooled object of the scheduler being copied to
+// the object at the same pool index in s.
+func (s *Scheduler) chainAt(c *chain) *chain {
+	if c == nil {
+		return nil
+	}
+	return s.allChains[c.poolIdx]
+}
+
+func (s *Scheduler) jobAt(j *job) *job {
+	if j == nil {
+		return nil
+	}
+	return s.allJobs[j.poolIdx]
+}
+
+// ErrUnknownEventArg reports a pending engine event whose argument neither
+// the scheduler nor the session layer owns — typically an instrumentation
+// ticker, which cannot be rebound to another session.
+var ErrUnknownEventArg = errors.New("sched: event argument is not a copyable type")
+
+// RebindArg maps a pending event argument owned by the scheduler s was
+// copied from to s's counterpart, reporting false for arguments the
+// scheduler does not own. It is the scheduler's part of the rebind
+// callback simtime.Engine.CopyFrom takes, and runs after CopyFrom so every
+// pool index resolves.
+func (s *Scheduler) RebindArg(arg any) (any, bool) {
+	switch v := arg.(type) {
+	case *taskArg:
+		return &s.taskArgs[v.ti], true
+	case *chain:
+		return s.chainAt(v), true
+	case *ecuRunner:
+		return s.ecus[v.id], true
+	}
+	return nil, false
 }
 
 // CountersInto writes the cumulative per-task accounting into dst, growing
@@ -597,9 +711,9 @@ type chain struct {
 	pendingStage int
 	nextFree     *chain
 	// poolIdx is this chain's stable position in the allChains registry,
-	// assigned once at allocation. Snapshots encode chain cross-references
-	// (job→chain, engine event args) as pool indices so a checkpoint can
-	// be rebound to a different session's pools.
+	// assigned once at allocation. CopyFrom and RebindArg re-point
+	// cross-references (job→chain, engine event args) into another
+	// scheduler's pools by it.
 	poolIdx int32
 }
 

@@ -13,32 +13,47 @@ import (
 // resolve and resolveSweep's seed-list check. Every input is either
 // rejected with an error or yields an admission-ready request — an
 // interned system, a duration in (0, 3600 s], between 1 and maxSweepRuns
-// runs with a seed for each — and nothing panics. Accepted specs are not
-// run: a legal one can simulate for minutes, until a per-request cost cap
-// bounds that.
+// runs with a seed for each — and nothing panics. A body the decoder
+// accepts, followed by a tail holding any non-whitespace byte, is never
+// accepted. Accepted specs are not run: a legal one can simulate for
+// minutes, until a per-request cost cap bounds that.
 func FuzzRequestBoundary(f *testing.F) {
+	tails := [][]byte{nil, []byte(" trailing garbage {\"wat\":"), []byte("\n{}"), []byte(" \t\r\n")}
+	var bodies []string
 	for _, tc := range goldenSpecs {
-		f.Add([]byte(tc.json))
-		f.Add([]byte(strings.TrimSuffix(tc.json, "}") + `,"trace":"colfmt"}`))
-		f.Add([]byte(`{"base":` + tc.json + `,"count":3}`))
+		bodies = append(bodies, tc.json,
+			strings.TrimSuffix(tc.json, "}")+`,"trace":"colfmt"}`,
+			`{"base":`+tc.json+`,"count":3}`)
 	}
 	for _, tc := range validationCases {
-		f.Add([]byte(tc.body))
+		bodies = append(bodies, tc.body)
 	}
-	f.Add([]byte(`{"base":{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15},"trace":"colfmt"},"seeds":[3,1,4,1,5]}`))
-	f.Add([]byte(`{"base":{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15}},"count":8}`))
+	bodies = append(bodies,
+		`{"base":{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15},"trace":"colfmt"},"seeds":[3,1,4,1,5]}`,
+		`{"base":{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15}},"count":8}`)
+	for i, b := range bodies {
+		f.Add([]byte(b), tails[i%len(tails)])
+	}
 
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Fuzz(func(t *testing.T, body, tail []byte) {
+		trailing := len(bytes.Trim(tail, " \t\r\n")) > 0
+		joined := append(append([]byte(nil), body...), tail...)
 		var run RunSpec
 		if decode(bytes.NewReader(body), &run) == nil {
 			if res, err := resolve(&run); err == nil {
 				checkAdmissionReady(t, &res, false)
+			}
+			if trailing && decode(bytes.NewReader(joined), &RunSpec{}) == nil {
+				t.Fatalf("run spec %q accepted with trailing %q", body, tail)
 			}
 		}
 		var sweep SweepSpec
 		if decode(bytes.NewReader(body), &sweep) == nil {
 			if res, err := resolveSweep(&sweep, maxSweepRuns); err == nil {
 				checkAdmissionReady(t, &res, true)
+			}
+			if trailing && decode(bytes.NewReader(joined), &SweepSpec{}) == nil {
+				t.Fatalf("sweep spec %q accepted with trailing %q", body, tail)
 			}
 		}
 	})

@@ -252,6 +252,8 @@ var validationCases = []struct {
 }{
 	{"bad json", "/v1/run", `{`},
 	{"unknown field", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1,"wat":1}`},
+	{"trailing garbage", "/v1/run", `{"workload":{"name":"testbed"},"duration_s":0.1} trailing garbage {"wat":`},
+	{"second value", "/v1/sweep", `{"base":{"workload":{"name":"testbed"},"duration_s":0.1,"noise":{"spread":0.1}},"count":2} {}`},
 	{"unknown workload", "/v1/run", `{"workload":{"name":"nope"},"duration_s":0.1}`},
 	{"unknown mode", "/v1/run", `{"workload":{"name":"testbed"},"mode":"nope","duration_s":0.1}`},
 	{"zero duration", "/v1/run", `{"workload":{"name":"testbed"}}`},

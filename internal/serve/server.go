@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -40,12 +41,21 @@ func writeError(w http.ResponseWriter, status int, msg string, retryAfterS int) 
 	w.Write(appendError(nil, msg, retryAfterS))
 }
 
+// errTrailingData rejects a body that holds more than one JSON value.
+var errTrailingData = errors.New("trailing data after the JSON value")
+
 // decode strictly decodes one JSON request body into v: unknown fields
-// are an error.
+// are an error, and so is anything but whitespace after the value.
 func decode(body io.Reader, v any) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errTrailingData
+	}
+	return nil
 }
 
 // setTimingHeaders mirrors the per-request timing block as headers, for

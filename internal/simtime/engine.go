@@ -115,6 +115,46 @@ func (e *Engine) Reset() {
 	e.stopped = false
 }
 
+// CopyFrom overwrites e with src's complete state — clock, sequence
+// counter, stop flag, the slot arena with every slot's generation, the
+// keyed heap and the free list — recycling e's backing arrays, so a
+// same-sized copy allocates nothing. src is only read. Slot generations
+// are copied, so EventIDs held by the rest of a copied session keep
+// verifying against e.
+//
+// A pending event's argument points into src's session, so each one is
+// passed through rebind, which returns the destination session's
+// counterpart or an error for an argument it does not own (a ticker, an
+// instrumentation hook's state). Pending closure events (Schedule, After)
+// cannot be rebound and are refused. On error e's contents are
+// unspecified; the caller must reset or rebuild it before running it.
+func (e *Engine) CopyFrom(src *Engine, rebind func(arg any) (any, error)) error {
+	if cap(e.slots) < len(src.slots) {
+		e.slots = make([]eventSlot, len(src.slots))
+	}
+	e.slots = e.slots[:len(src.slots)]
+	for i, s := range src.slots {
+		if s.heapIdx >= 0 {
+			at := src.heap[s.heapIdx].at
+			if s.fn != nil {
+				return fmt.Errorf("simtime: copy: pending closure event at %v (slot %d); only ScheduleCall events with rebindable arguments can be copied", at, i)
+			}
+			arg, err := rebind(s.arg)
+			if err != nil {
+				return fmt.Errorf("simtime: copy: pending event at %v (slot %d): %w", at, i, err)
+			}
+			s.arg = arg
+		}
+		e.slots[i] = s
+	}
+	e.heap = append(e.heap[:0], src.heap...)
+	e.free = append(e.free[:0], src.free...)
+	e.now = src.now
+	e.nextSeq = src.nextSeq
+	e.stopped = src.stopped
+	return nil
+}
+
 // Now reports the current simulated instant.
 func (e *Engine) Now() Time { return e.now }
 

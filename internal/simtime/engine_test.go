@@ -37,9 +37,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if got := t1.Seconds(); got != 1.25 {
 		t.Errorf("Seconds = %v, want 1.25", got)
 	}
-	if MinTime(t0, t1) != t0 || MaxTime(t0, t1) != t1 {
-		t.Error("MinTime/MaxTime ordering wrong")
-	}
 }
 
 func TestEngineOrdering(t *testing.T) {

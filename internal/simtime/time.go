@@ -83,19 +83,3 @@ func (t Time) String() string {
 	}
 	return fmt.Sprintf("%.6fs", t.Seconds())
 }
-
-// MinTime returns the earlier of two instants.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxTime returns the later of two instants.
-func MaxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}

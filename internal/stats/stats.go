@@ -94,21 +94,6 @@ func Percentile(v []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// FractionAbove returns the fraction of samples strictly above the
-// threshold, or 0 for empty input.
-func FractionAbove(v []float64, threshold float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range v {
-		if x > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(v))
-}
-
 // ApproxEqual reports whether a and b agree within tol, comparing the
 // absolute difference for values near zero and the relative difference
 // otherwise. It is the comparison the floateq lint analyzer points to:

@@ -68,16 +68,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestFractionAbove(t *testing.T) {
-	v := []float64{0.1, 0.5, 0.9, 0.7}
-	if got := FractionAbove(v, 0.6); got != 0.5 {
-		t.Errorf("FractionAbove = %v, want 0.5", got)
-	}
-	if FractionAbove(nil, 0) != 0 {
-		t.Error("empty FractionAbove != 0")
-	}
-}
-
 // Property: Min ≤ Mean ≤ Max and P0 = Min, P100 = Max.
 func TestOrderingProperty(t *testing.T) {
 	if err := quick.Check(func(raw []int8) bool {

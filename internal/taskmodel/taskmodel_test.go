@@ -81,11 +81,12 @@ func TestValidateFillsDefaults(t *testing.T) {
 }
 
 func TestValidateRejections(t *testing.T) {
-	tests := []struct {
+	type rejection struct {
 		name    string
 		mutate  func(*System)
 		wantSub string
-	}{
+	}
+	tests := []rejection{
 		{"no ECUs", func(s *System) { s.NumECUs = 0 }, "NumECUs"},
 		{"empty tasks", func(s *System) { s.Tasks = nil }, "empty task set"},
 		{"no subtasks", func(s *System) { s.Tasks[0].Subtasks = nil }, "no subtasks"},
@@ -99,6 +100,24 @@ func TestValidateRejections(t *testing.T) {
 		{"negative weight", func(s *System) { s.Tasks[0].Subtasks[0].Weight = -1 }, "Weight"},
 		{"bound length", func(s *System) { s.UtilBound = []units.Util{0.5} }, "UtilBound length"},
 		{"bound range", func(s *System) { s.UtilBound = []units.Util{0.5, 1.5} }, "UtilBound[1]"},
+	}
+	// Non-finite values pass every ordered comparison or bound check they
+	// are not explicitly tested against; each float field must refuse both.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, v := range []struct {
+		kind string
+		x    float64
+	}{{"NaN", nan}, {"+Inf", inf}} {
+		x := v.x
+		tests = append(tests, []rejection{
+			{v.kind + " rate min", func(s *System) { s.Tasks[0].RateMin = units.RawRate(x) }, "RateMin"},
+			{v.kind + " rate max", func(s *System) { s.Tasks[0].RateMax = units.RawRate(x) }, "RateMax"},
+			{v.kind + " init rate", func(s *System) { s.Tasks[0].InitRate = units.RawRate(x) }, "InitRate"},
+			{v.kind + " min ratio", func(s *System) { s.Tasks[0].Subtasks[0].MinRatio = units.RawRatio(x) }, "MinRatio"},
+			{v.kind + " weight", func(s *System) { s.Tasks[0].Subtasks[0].Weight = x }, "Weight"},
+			{v.kind + " ratio step", func(s *System) { s.Tasks[0].Subtasks[0].RatioStep = units.RawRatio(x) }, "RatioStep"},
+			{v.kind + " util bound", func(s *System) { s.UtilBound = []units.Util{0.5, units.RawUtil(x)} }, "UtilBound[1]"},
+		}...)
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

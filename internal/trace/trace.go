@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -366,63 +365,6 @@ func Sparkline(s *Series, width int) string {
 			idx = len(levels) - 1
 		}
 		b.WriteRune(levels[idx])
-	}
-	return b.String()
-}
-
-// PlotASCII renders the series as a multi-row ASCII chart with a value
-// axis, for quick terminal inspection of figure shapes.
-func PlotASCII(s *Series, width, height int) string {
-	if s == nil || len(s.V) == 0 || width <= 0 || height <= 0 {
-		return ""
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range s.V {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	//lint:allow floateq exact degenerate-range guard; any nonzero span plots fine
-	if hi == lo {
-		hi = lo + 1
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	n := len(s.V)
-	for i := 0; i < width; i++ {
-		start := i * n / width
-		end := (i + 1) * n / width
-		if end <= start {
-			end = start + 1
-		}
-		if start >= n {
-			break
-		}
-		sum := 0.0
-		cnt := 0
-		for j := start; j < end && j < n; j++ {
-			sum += s.V[j]
-			cnt++
-		}
-		mean := sum / float64(cnt)
-		row := int((hi - mean) / (hi - lo) * float64(height-1))
-		grid[row][i] = '*'
-	}
-	var b strings.Builder
-	for i, row := range grid {
-		label := ""
-		switch i {
-		case 0:
-			label = fmt.Sprintf("%8.3f ", hi)
-		case height - 1:
-			label = fmt.Sprintf("%8.3f ", lo)
-		default:
-			label = strings.Repeat(" ", 9)
-		}
-		b.WriteString(label)
-		b.Write(row)
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

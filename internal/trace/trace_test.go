@@ -166,27 +166,6 @@ func TestSparklineConstant(t *testing.T) {
 	}
 }
 
-func TestPlotASCII(t *testing.T) {
-	s := &Series{}
-	for i := 0; i < 50; i++ {
-		s.Add(float64(i), float64(i%10))
-	}
-	plot := PlotASCII(s, 40, 8)
-	if plot == "" {
-		t.Fatal("empty plot")
-	}
-	lines := strings.Split(strings.TrimRight(plot, "\n"), "\n")
-	if len(lines) != 8 {
-		t.Errorf("height = %d, want 8", len(lines))
-	}
-	if !strings.Contains(plot, "*") {
-		t.Error("plot has no marks")
-	}
-	if PlotASCII(nil, 10, 5) != "" {
-		t.Error("nil plot should be empty")
-	}
-}
-
 // failWriter errors after n successful writes.
 type failWriter struct{ left int }
 

@@ -24,7 +24,9 @@ race:
 # certifications (//lint:certify roots, whose noalloc contracts read the
 # compiler's escape analysis, and parallel worker-closure safety), plus
 # stale //lint:allow annotations. See the Invariants and "Ownership &
-# lifetimes" sections of DESIGN.md. -timing prints the wall time of the
+# lifetimes" sections of DESIGN.md. The module load takes the package
+# graph, build-constraint file lists and standard-library export data
+# from one `go list -export` run. -timing prints the wall time of the
 # module load, each analyzer and the test-file load and pass, and -budget
 # fails the gate if their total exceeds a minute, so a load or analyzer
 # whose cost regresses shows up here before it slows every CI run.

@@ -1085,16 +1085,17 @@ func BenchmarkTraceDecode(b *testing.B) {
 	b.ReportMetric(float64(samples), "samples_per_run")
 }
 
-// BenchmarkLintLoader times the dependency-free loads every autoe2e-lint
-// run starts with, on one Loader as the run does: discovering, parsing,
-// and type-checking the whole module with module-internal imports served
-// from the loader's own source-checked results (object identity is what
-// the interprocedural effects/parsafe analyzers lean on), then the
-// module's _test.go files, which reuse the type-checked standard library.
-// This is the fixed cost of the lint gate, tracked in BENCH_control.json
-// so a loader regression surfaces in review before it slows every
-// `make lint` and CI run. module_ms and tests_ms split one load's wall
-// time between the two.
+// BenchmarkLintLoader times the loads every autoe2e-lint run starts
+// with, on one Loader as the run does: listing the module with the go
+// tool (cached per process, so only the first iteration pays for it),
+// then parsing and type-checking every module package from source with
+// module-internal imports served from the loader's own results (object
+// identity is what the interprocedural effects/parsafe analyzers lean on)
+// and the standard library read from export data, then the module's
+// _test.go files, which reuse the checked module packages. This is the
+// fixed cost of the lint gate, tracked in BENCH_control.json so a loader
+// regression surfaces in review before it slows every `make lint` and CI
+// run. module_ms and tests_ms split one load's wall time between the two.
 func BenchmarkLintLoader(b *testing.B) {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	autoe2e-lint [-only name,name] [-list] [-effects-report]
-//	             [-sarif out.json] [-timing] [-budget 60s] [packages]
+//	             [-timing] [-budget 60s] [packages]
 //
 // The package arguments are accepted for familiarity ("./...") but the
 // tool always loads the whole module containing the working directory:
@@ -14,7 +14,7 @@
 //
 // Beyond the module's non-test packages, the value-level analyzers
 // mapiter and floateq also run over _test.go files, loaded on the same
-// type-checker so the standard library is checked once: tests compare
+// Loader so the module's packages are checked once: tests compare
 // floats and iterate maps as readily as product code, and a
 // nondeterministic assertion is a flaky test. A run of the whole suite
 // (no -only) also reports every //lint:allow that suppressed nothing.
@@ -22,9 +22,6 @@
 // -effects-report prints the interprocedural certification summary: every
 // //lint:certify entry point with its verdict, reach, unresolved-edge
 // count, and residual effects, plus the declared hookpoint boundaries.
-//
-// -sarif writes the run's diagnostics as SARIF 2.1.0 for GitHub code
-// scanning, which renders them as inline PR annotations.
 //
 // -timing prints the wall time of the module load, each analyzer, the
 // test-file load and the test-file pass; -budget fails the run when their
@@ -53,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("only", "", "comma-separated subset of analyzers to run")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	effectsReport := fs.Bool("effects-report", false, "print the //lint:certify certification summary and exit")
-	sarifOut := fs.String("sarif", "", "write diagnostics as SARIF 2.1.0 to this file")
 	timing := fs.Bool("timing", false, "print the wall time of each load and analyzer")
 	budget := fs.Duration("budget", 0, "fail if the total load and analyzer time exceeds this duration (0 = no budget)")
 	if err := fs.Parse(args); err != nil {
@@ -115,21 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags := res.Diagnostics
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
-	}
-	if *sarifOut != "" {
-		f, err := os.Create(*sarifOut)
-		if err != nil {
-			fmt.Fprintln(stderr, "autoe2e-lint:", err)
-			return 2
-		}
-		werr := lint.WriteSARIF(f, root, analyzers, diags)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(stderr, "autoe2e-lint:", werr)
-			return 2
-		}
 	}
 
 	var total time.Duration

@@ -8,6 +8,7 @@ import (
 
 	"github.com/autoe2e/autoe2e/internal/eucon"
 	"github.com/autoe2e/autoe2e/internal/exectime"
+	"github.com/autoe2e/autoe2e/internal/precision"
 	"github.com/autoe2e/autoe2e/internal/sched"
 	"github.com/autoe2e/autoe2e/internal/simtime"
 	"github.com/autoe2e/autoe2e/internal/taskmodel"
@@ -87,6 +88,31 @@ func TestRunValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tt.want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsNonFiniteMiddleware: a NaN controller knob is refused
+// when the run is assembled, before any simulated event fires — not
+// minutes in, at the first solve it poisons.
+func TestRunRejectsNonFiniteMiddleware(t *testing.T) {
+	fired := false
+	_, err := Run(RunConfig{
+		System: testSystem(t),
+		Exec:   exectime.Nominal{},
+		Middleware: Config{
+			Mode:      ModeAutoE2E,
+			Eucon:     eucon.Config{ControlPenalty: math.NaN()},
+			Precision: precision.Config{SaturationThreshold: units.RawUtil(math.NaN())},
+		},
+		Duration: 10 * simtime.Second,
+		Events:   []Event{{At: 0, Do: func(*taskmodel.State) { fired = true }}},
+		OnChain:  func(sched.ChainEvent) { fired = true },
+	})
+	if err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("err = %v, want the NaN knob named", err)
+	}
+	if fired {
+		t.Error("an event ran before the config was rejected")
 	}
 }
 

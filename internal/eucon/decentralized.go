@@ -87,11 +87,11 @@ func (c DecentralizedConfig) withDefaults() DecentralizedConfig {
 }
 
 func (c DecentralizedConfig) validate() error {
-	if c.Gain <= 0 || c.Gain >= 2 {
+	if !taskmodel.Finite(c.Gain) || c.Gain <= 0 || c.Gain >= 2 {
 		return fmt.Errorf("eucon: decentralized Gain = %v, want (0, 2)", c.Gain)
 	}
-	if c.BoundMargin < 0 {
-		return fmt.Errorf("eucon: decentralized BoundMargin = %v, want >= 0", c.BoundMargin)
+	if !taskmodel.Finite(c.BoundMargin.Float()) || c.BoundMargin < 0 {
+		return fmt.Errorf("eucon: decentralized BoundMargin = %v, want finite >= 0", c.BoundMargin)
 	}
 	if c.Workers < 1 {
 		return fmt.Errorf("eucon: decentralized Workers = %d, want >= 1", c.Workers)

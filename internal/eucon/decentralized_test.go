@@ -111,11 +111,15 @@ func TestDecentralizedRatesStayInBox(t *testing.T) {
 func TestDecentralizedValidation(t *testing.T) {
 	sys := makeSystem(t)
 	st := taskmodel.NewState(sys)
-	for _, cfg := range []DecentralizedConfig{
+	bad := []DecentralizedConfig{
 		{Gain: -1},
 		{Gain: 2.5},
 		{Gain: 1, BoundMargin: -0.1},
-	} {
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		bad = append(bad, DecentralizedConfig{Gain: x}, DecentralizedConfig{Gain: 1, BoundMargin: units.RawUtil(x)})
+	}
+	for _, cfg := range bad {
 		if _, err := NewDecentralized(st, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}

@@ -105,17 +105,17 @@ func (c Config) validate() error {
 	if c.ControlHorizon < 1 || c.ControlHorizon > c.PredictionHorizon {
 		return fmt.Errorf("eucon: ControlHorizon = %d, want in [1, %d]", c.ControlHorizon, c.PredictionHorizon)
 	}
-	if c.RefDecay <= 0 || c.RefDecay >= 1 {
+	if !taskmodel.Finite(c.RefDecay) || c.RefDecay <= 0 || c.RefDecay >= 1 {
 		return fmt.Errorf("eucon: RefDecay = %v, want in (0, 1)", c.RefDecay)
 	}
-	if c.ControlPenalty < 0 {
-		return fmt.Errorf("eucon: ControlPenalty = %v, want >= 0", c.ControlPenalty)
+	if !taskmodel.Finite(c.ControlPenalty) || c.ControlPenalty < 0 {
+		return fmt.Errorf("eucon: ControlPenalty = %v, want finite >= 0", c.ControlPenalty)
 	}
-	if c.BoundMargin < 0 {
-		return fmt.Errorf("eucon: BoundMargin = %v, want >= 0", c.BoundMargin)
+	if !taskmodel.Finite(c.BoundMargin.Float()) || c.BoundMargin < 0 {
+		return fmt.Errorf("eucon: BoundMargin = %v, want finite >= 0", c.BoundMargin)
 	}
-	if c.OverloadWeight < 1 {
-		return fmt.Errorf("eucon: OverloadWeight = %v, want >= 1", c.OverloadWeight)
+	if !taskmodel.Finite(c.OverloadWeight) || c.OverloadWeight < 1 {
+		return fmt.Errorf("eucon: OverloadWeight = %v, want finite >= 1", c.OverloadWeight)
 	}
 	return nil
 }

@@ -220,6 +220,14 @@ func TestConfigValidation(t *testing.T) {
 		{ControlPenalty: -1},
 		{BoundMargin: -0.1},
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		bad = append(bad,
+			Config{RefDecay: x},
+			Config{ControlPenalty: x},
+			Config{BoundMargin: units.RawUtil(x)},
+			Config{OverloadWeight: x},
+		)
+	}
 	for i, cfg := range bad {
 		if _, err := New(st, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)

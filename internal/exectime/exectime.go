@@ -159,9 +159,10 @@ type Noise struct {
 }
 
 // NewNoise wraps inner with multiplicative noise of the given spread
-// (0 ≤ spread < 1), using a deterministic stream derived from seed.
+// (0 ≤ spread < 1), using a deterministic stream derived from seed. It
+// panics on any other spread, NaN included.
 func NewNoise(inner Model, spread float64, seed int64) *Noise {
-	if spread < 0 || spread >= 1 {
+	if !(spread >= 0 && spread < 1) {
 		panic("exectime: noise spread must be in [0, 1)")
 	}
 	return &Noise{inner: inner, spread: spread, rng: simtime.NewRand(seed)}
@@ -175,9 +176,9 @@ func (n *Noise) Rands() []*simtime.Rand { return append(RandsOf(n.inner), n.rng)
 // the stream rewound to what a fresh NewNoise(inner, spread, seed) would
 // draw, without allocating or panicking (it runs on serving hot paths).
 // The caller owns the NewNoise spread contract (0 ≤ spread < 1); out-of-
-// range values are clamped to the nearest valid spread.
+// range values are clamped to the nearest valid spread, and NaN to 0.
 func (n *Noise) Reseed(spread float64, seed int64) {
-	if spread < 0 {
+	if !(spread >= 0) {
 		spread = 0
 	} else if spread >= 1 {
 		spread = math.Nextafter(1, 0)

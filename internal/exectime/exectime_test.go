@@ -1,6 +1,7 @@
 package exectime
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -116,12 +117,33 @@ func TestNoiseBoundsAndDeterminism(t *testing.T) {
 }
 
 func TestNoiseInvalidSpreadPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("spread >= 1 did not panic")
+	for _, spread := range []float64{1.0, -0.1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("spread %v did not panic", spread)
+				}
+			}()
+			NewNoise(Nominal{}, spread, 1)
+		}()
+	}
+}
+
+// TestNoiseReseedClampsNaN pins Reseed's contract for a NaN spread: it
+// runs as spread 0 (every demand nominal) and, like every Reseed, without
+// allocating.
+func TestNoiseReseedClampsNaN(t *testing.T) {
+	sys := testSystem(t)
+	n := NewNoise(Nominal{}, 0.2, 42)
+	n.Reseed(math.NaN(), 7)
+	for i := 0; i < 50; i++ {
+		if d := n.Demand(sys, ref0, 0, 1); d != simtime.FromMillis(10) {
+			t.Fatalf("demand %v after Reseed(NaN), want the nominal %v", d, simtime.FromMillis(10))
 		}
-	}()
-	NewNoise(Nominal{}, 1.0, 1)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.Reseed(math.NaN(), 7) }); allocs != 0 {
+		t.Errorf("Reseed(NaN) allocated %v times per call, want 0", allocs)
+	}
 }
 
 // Property: demand scales linearly with ratio under Nominal, and composition

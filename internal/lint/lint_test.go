@@ -138,7 +138,10 @@ func TestHotPathAlloc(t *testing.T) {
 // file exports, through a package that imports m), and floateq's
 // test-file mode flags only the fresh-arithmetic comparison. The contract
 // holds on a fresh loader and on one that has already loaded the module,
-// as a lint run does to type-check the standard library once.
+// as a lint run does to check the module's packages once. ignored.go
+// redeclares a constant of m.go under a //go:build ignore constraint, so
+// the loads (and TestLintTwoPasses's) pass only if they read the files
+// the go tool selects.
 func TestLoadModuleTests(t *testing.T) {
 	root := filepath.Join("testdata", "testmodule")
 	for _, warm := range []bool{false, true} {

@@ -29,48 +29,47 @@ type Package struct {
 	Info *types.Info
 }
 
-// Loader parses and type-checks packages without any dependency outside the
-// standard library: the module's own packages are discovered by walking the
-// file tree, and imports are resolved by the go/types "source" importer,
-// which compiles straight from source and therefore works offline.
+// Loader parses and type-checks packages, taking its package graph from
+// the go tool: one `go list -e -json -deps -test -export` run per module
+// root (see listModule) names each package's directory and the files its
+// build constraints select. The module's own packages are parsed and
+// type-checked from those files, because the call graph needs their
+// bodies; every other import — the standard library, or a fixture's
+// import of a module package — is read from the export data the go tool
+// compiled, through the "gc" importer. `effects` already needs the go
+// tool for the compiler's escape facts, so this adds no dependency.
 //
 // Module-internal imports are special-cased: once LoadModule (or
 // LoadModuleTests) establishes the module context, an import of a module
 // package is satisfied by the loader's own source-checked result — loaded
-// on demand, dependencies first — instead of a second, independent
-// type-check. That keeps type and object identity consistent across the
-// whole module, which the interprocedural analyses depend on: a call from
-// core into simtime must resolve to the same *types.Func the simtime
-// package declared, or interface satisfaction and call-graph node lookup
-// silently degrade to "external".
+// on demand, dependencies first — instead of its export data. That keeps
+// type and object identity consistent across the whole module, which the
+// interprocedural analyses depend on: a call from core into simtime must
+// resolve to the same *types.Func the simtime package declared, or
+// interface satisfaction and call-graph node lookup silently degrade to
+// "external".
 type Loader struct {
 	Fset *token.FileSet
 	imp  types.Importer
 
-	// Module context, set by LoadModule/LoadModuleTests.
-	modPath string
-	modRoot string
+	// mod is the module listing, set by LoadModule/LoadModuleTests.
+	mod *moduleList
 	// cache holds the canonical per-import-path packages (non-test
-	// sources only); loading guards against import cycles.
-	cache   map[string]*Package
-	loading map[string]bool
+	// sources only).
+	cache map[string]*Package
 }
 
 // NewLoader returns a loader with a fresh file set.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	l := &Loader{
-		Fset:    fset,
-		cache:   make(map[string]*Package),
-		loading: make(map[string]bool),
-	}
-	l.imp = &moduleImporter{l: l, fallback: importer.ForCompiler(fset, "source", nil)}
+	l := &Loader{Fset: fset, cache: make(map[string]*Package)}
+	l.imp = &moduleImporter{l: l, fallback: importer.ForCompiler(fset, "gc", openExport)}
 	return l
 }
 
 // moduleImporter resolves module-internal import paths through the owning
 // Loader (preserving object identity) and everything else through the
-// stock source importer.
+// export-data importer.
 type moduleImporter struct {
 	l        *Loader
 	fallback types.Importer
@@ -81,16 +80,8 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if pkg := l.cache[path]; pkg != nil {
 		return pkg.Pkg, nil
 	}
-	if l.modPath != "" && (path == l.modPath || strings.HasPrefix(path, l.modPath+"/")) {
-		if l.loading[path] {
-			return nil, fmt.Errorf("lint: import cycle through %s", path)
-		}
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
-		dir := l.modRoot
-		if rel != "" {
-			dir = filepath.Join(l.modRoot, filepath.FromSlash(rel))
-		}
-		pkg, err := l.LoadDir(dir, path)
+	if lp := l.mod.lookup(path); lp != nil {
+		pkg, err := l.load(lp)
 		if err != nil {
 			return nil, err
 		}
@@ -99,71 +90,27 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.fallback.Import(path)
 }
 
-// setModuleContext records the module root so module-internal imports are
-// served from the loader's own results from here on.
-func (l *Loader) setModuleContext(root string) (string, error) {
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	abs, err := filepath.Abs(root)
-	if err != nil {
-		return "", err
-	}
-	l.modPath, l.modRoot = modPath, abs
-	return modPath, nil
+// setModuleContext lists the module rooted at root, so module-internal
+// imports are served from the loader's own results from here on.
+func (l *Loader) setModuleContext(root string) (err error) {
+	l.mod, err = listModule(root)
+	return err
 }
 
-// LoadModule discovers every non-test package in the module rooted at root
-// (the directory containing go.mod), parses it, type-checks it, and returns
-// the packages sorted by import path. Directories named testdata or vendor
-// and hidden/underscore directories are skipped, matching the go tool.
+// LoadModule parses and type-checks every non-test package of the module
+// rooted at root (the directory containing go.mod) and returns them
+// sorted by import path. The packages and their files are the go tool's:
+// `./...` from root, with build constraints applied.
 func (l *Loader) LoadModule(root string) ([]*Package, error) {
-	modPath, err := l.setModuleContext(root)
-	if err != nil {
+	if err := l.setModuleContext(root); err != nil {
 		return nil, err
 	}
-	var dirs []string
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-				dirs = append(dirs, path)
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-
 	var pkgs []*Package
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return nil, err
+	for _, lp := range l.mod.pkgs {
+		if len(lp.GoFiles) == 0 {
+			continue
 		}
-		importPath := modPath
-		if rel != "." {
-			importPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := l.LoadDir(dir, importPath)
+		pkg, err := l.load(lp)
 		if err != nil {
 			return nil, err
 		}
@@ -172,105 +119,45 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadModuleTests discovers the module's _test.go files and returns them
-// as analyzable packages: per directory, one package augmenting the
-// non-test sources with the in-package test files (so test files can
-// reference unexported declarations), and one standalone package for an
-// external foo_test package if present. Only the value-level analyzers
-// (mapiter, floateq) run over these; callers filter diagnostics to
-// _test.go files so the augmented packages don't duplicate the main run.
+// LoadModuleTests returns the module's _test.go files as analyzable
+// packages: per package, one augmenting the non-test sources with the
+// in-package test files (so test files can reference unexported
+// declarations), and one standalone package for an external foo_test
+// package if present. Only the value-level analyzers (mapiter, floateq)
+// run over these; callers filter diagnostics to _test.go files so the
+// augmented packages don't duplicate the main run.
 func (l *Loader) LoadModuleTests(root string) ([]*Package, error) {
-	modPath, err := l.setModuleContext(root)
-	if err != nil {
+	if err := l.setModuleContext(root); err != nil {
 		return nil, err
 	}
 	var pkgs []*Package
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+	for _, lp := range l.mod.pkgs {
+		testPkgs, err := l.loadTests(lp)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		hasTests := false
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), "_test.go") {
-				hasTests = true
-				break
-			}
-		}
-		if !hasTests {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		importPath := modPath
-		if rel != "." {
-			importPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		dirPkgs, err := l.loadDirTests(path, importPath)
-		if err != nil {
-			return err
-		}
-		pkgs = append(pkgs, dirPkgs...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		pkgs = append(pkgs, testPkgs...)
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
 }
 
-// loadDirTests splits one directory's test files into the in-package
-// augmented package and the external _test package, loading whichever
+// loadTests loads one listed package's in-package test files, augmented
+// with its non-test sources, and its external _test package, whichever
 // exist.
-func (l *Loader) loadDirTests(dir, importPath string) ([]*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var base, inPkg, external []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case !strings.HasSuffix(e.Name(), "_test.go"):
-			base = append(base, f)
-		case strings.HasSuffix(f.Name.Name, "_test"):
-			external = append(external, f)
-		default:
-			inPkg = append(inPkg, f)
-		}
-	}
+func (l *Loader) loadTests(lp *listedPackage) ([]*Package, error) {
 	var out []*Package
 	ext := l
-	if len(inPkg) > 0 {
-		pkg, err := l.check(importPath, dir, append(base, inPkg...))
+	if len(lp.TestGoFiles) > 0 {
+		pkg, err := l.checkFiles(lp.ImportPath, lp.Dir, lp.GoFiles, lp.TestGoFiles)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
 		ext = l.forkWith(pkg)
 	}
-	if len(external) > 0 {
-		pkg, err := ext.check(importPath+"_test", dir, external)
+	if len(lp.XTestGoFiles) > 0 {
+		pkg, err := ext.checkFiles(lp.ImportPath+"_test", lp.Dir, lp.XTestGoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -286,13 +173,7 @@ func (l *Loader) loadDirTests(dir, importPath string) ([]*Package, error) {
 // and are shared; any other module package is re-checked from source on
 // demand, against pkg, so its types agree with the external test's.
 func (l *Loader) forkWith(pkg *Package) *Loader {
-	f := &Loader{
-		Fset:    l.Fset,
-		modPath: l.modPath,
-		modRoot: l.modRoot,
-		cache:   map[string]*Package{pkg.Path: pkg},
-		loading: make(map[string]bool),
-	}
+	f := &Loader{Fset: l.Fset, mod: l.mod, cache: map[string]*Package{pkg.Path: pkg}}
 	f.imp = &moduleImporter{l: f, fallback: l.imp.(*moduleImporter).fallback}
 	var share func(p *types.Package)
 	share = func(p *types.Package) {
@@ -307,44 +188,40 @@ func (l *Loader) forkWith(pkg *Package) *Loader {
 	return f
 }
 
-// LoadDir parses and type-checks the non-test files of one directory as the
-// package with the given import path. Within a module context the result
-// is canonical: repeated loads return the same package, and loads demanded
-// recursively by an importing package are shared with the top-level walk.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	if pkg := l.cache[importPath]; pkg != nil {
+// load parses and type-checks one listed module package's non-test
+// files. The result is canonical: repeated loads return the same package,
+// and loads demanded recursively by an importing package are shared with
+// LoadModule's. A package the go tool could not load or compile (an
+// import cycle marks one of its members) is refused with its error.
+func (l *Loader) load(lp *listedPackage) (*Package, error) {
+	if pkg := l.cache[lp.ImportPath]; pkg != nil {
 		return pkg, nil
 	}
-	l.loading[importPath] = true
-	defer delete(l.loading, importPath)
-	entries, err := os.ReadDir(dir)
+	if lp.Error != nil {
+		return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
+	}
+	pkg, err := l.checkFiles(lp.ImportPath, lp.Dir, lp.GoFiles)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go source in %s", dir)
-	}
-	pkg, err := l.check(importPath, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	l.cache[importPath] = pkg
+	l.cache[lp.ImportPath] = pkg
 	return pkg, nil
+}
+
+// checkFiles parses the named files of dir, in order, and type-checks
+// them as the package importPath.
+func (l *Loader) checkFiles(importPath, dir string, names ...[]string) (*Package, error) {
+	var files []*ast.File
+	for _, list := range names {
+		for _, name := range list {
+			f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+	}
+	return l.check(importPath, dir, files)
 }
 
 // LoadFile parses and type-checks a single file as its own package — the
@@ -385,21 +262,6 @@ func (l *Loader) check(importPath, dir string, files []*ast.File) (*Package, err
 		Pkg:   pkg,
 		Info:  info,
 	}, nil
-}
-
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
-		}
-	}
-	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing

@@ -164,7 +164,7 @@ type Result struct {
 
 // Lint checks the module rooted at root: it loads the non-test packages
 // and runs the analyzers over them, then loads the _test.go files on the
-// same Loader — so the standard library is type-checked once — and runs
+// same Loader — so the module's packages are type-checked once — and runs
 // the test-file analyzers among them over those. Diagnostics the
 // test-file pass makes on non-test files repeat the first pass and are
 // dropped. When analyzers is the whole suite, an allow token that

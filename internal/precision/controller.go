@@ -58,23 +58,23 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.SaturationThreshold < 0 {
-		return fmt.Errorf("precision: SaturationThreshold = %v, want >= 0", c.SaturationThreshold)
+	if !taskmodel.Finite(c.SaturationThreshold.Float()) || c.SaturationThreshold < 0 {
+		return fmt.Errorf("precision: SaturationThreshold = %v, want finite >= 0", c.SaturationThreshold)
 	}
 	if c.SaturationPeriods < 1 {
 		return fmt.Errorf("precision: SaturationPeriods = %d, want >= 1", c.SaturationPeriods)
 	}
-	if c.ReclaimMargin < 0 {
-		return fmt.Errorf("precision: ReclaimMargin = %v, want >= 0", c.ReclaimMargin)
+	if !taskmodel.Finite(c.ReclaimMargin.Float()) || c.ReclaimMargin < 0 {
+		return fmt.Errorf("precision: ReclaimMargin = %v, want finite >= 0", c.ReclaimMargin)
 	}
-	if c.RestoreLeeway < 0 {
-		return fmt.Errorf("precision: RestoreLeeway = %v, want >= 0", c.RestoreLeeway)
+	if !taskmodel.Finite(c.RestoreLeeway) || c.RestoreLeeway < 0 {
+		return fmt.Errorf("precision: RestoreLeeway = %v, want finite >= 0", c.RestoreLeeway)
 	}
-	if c.RestoreSlack < 0 {
-		return fmt.Errorf("precision: RestoreSlack = %v, want >= 0", c.RestoreSlack)
+	if !taskmodel.Finite(c.RestoreSlack.Float()) || c.RestoreSlack < 0 {
+		return fmt.Errorf("precision: RestoreSlack = %v, want finite >= 0", c.RestoreSlack)
 	}
-	if c.RestoreEpsilon < 0 {
-		return fmt.Errorf("precision: RestoreEpsilon = %v, want >= 0", c.RestoreEpsilon)
+	if !taskmodel.Finite(c.RestoreEpsilon.Float()) || c.RestoreEpsilon < 0 {
+		return fmt.Errorf("precision: RestoreEpsilon = %v, want finite >= 0", c.RestoreEpsilon)
 	}
 	return nil
 }

@@ -17,8 +17,8 @@ type Detector struct {
 // excess over the bound that counts as a violation; needed is how many
 // consecutive inner periods must violate before saturation is latched.
 func NewDetector(n int, threshold units.Util, needed int) *Detector {
-	if threshold < 0 {
-		panic("precision: negative detector threshold")
+	if !(threshold >= 0) {
+		panic("precision: negative or NaN detector threshold")
 	}
 	if needed < 1 {
 		panic("precision: detector needs at least one period")
@@ -38,35 +38,15 @@ func (d *Detector) Observe(utils, bounds []units.Util) {
 	}
 }
 
-// Saturated reports which ECUs have latched saturation.
-func (d *Detector) Saturated() []bool {
-	out := make([]bool, len(d.counts))
-	for j, c := range d.counts {
-		out[j] = c >= d.needed
-	}
-	return out
-}
-
-// SaturatedAt reports whether ECU j has latched saturation. It is the
-// per-index, non-allocating form of Saturated for the outer hot path.
+// SaturatedAt reports whether ECU j has latched saturation.
 func (d *Detector) SaturatedAt(j int) bool { return d.counts[j] >= d.needed }
 
-// StronglySaturatedAt reports whether ECU j has violated for three times
-// the latch requirement; the per-index form of StronglySaturated.
-func (d *Detector) StronglySaturatedAt(j int) bool { return d.counts[j] >= 3*d.needed }
-
-// StronglySaturated reports which ECUs have violated their bounds for three
-// times the latch requirement — long enough that the inner loop has
+// StronglySaturatedAt reports whether ECU j has violated its bound for
+// three times the latch requirement — long enough that the inner loop has
 // demonstrably failed regardless of where the task rates sit (e.g. MIMO
-// compromises on large systems that keep some rates off their floors while
-// an ECU stays overloaded).
-func (d *Detector) StronglySaturated() []bool {
-	out := make([]bool, len(d.counts))
-	for j, c := range d.counts {
-		out[j] = c >= 3*d.needed
-	}
-	return out
-}
+// compromises on large systems that keep some rates off their floors
+// while an ECU stays overloaded).
+func (d *Detector) StronglySaturatedAt(j int) bool { return d.counts[j] >= 3*d.needed }
 
 // Reset clears one ECU's streak (called after the outer loop has acted on
 // it, so re-latching requires fresh evidence).

@@ -206,17 +206,17 @@ func TestDetectorLatching(t *testing.T) {
 	over := []units.Util{0.8, 0.6}
 	for i := 0; i < 2; i++ {
 		d.Observe(over, bounds)
-		if s := d.Saturated(); s[0] || s[1] {
+		if d.SaturatedAt(0) || d.SaturatedAt(1) {
 			t.Fatalf("latched after %d periods, want 3", i+1)
 		}
 	}
 	d.Observe(over, bounds)
-	if s := d.Saturated(); !s[0] || s[1] {
-		t.Fatalf("Saturated = %v, want [true false]", s)
+	if !d.SaturatedAt(0) || d.SaturatedAt(1) {
+		t.Fatalf("saturated = [%v %v], want [true false]", d.SaturatedAt(0), d.SaturatedAt(1))
 	}
 	// A compliant sample resets the streak.
 	d.Observe([]units.Util{0.71, 0.6}, bounds) // within threshold
-	if s := d.Saturated(); s[0] {
+	if d.SaturatedAt(0) {
 		t.Error("compliant sample did not reset")
 	}
 }
@@ -225,11 +225,11 @@ func TestDetectorReset(t *testing.T) {
 	d := NewDetector(1, 0, 2)
 	d.Observe([]units.Util{0.9}, []units.Util{0.7})
 	d.Observe([]units.Util{0.9}, []units.Util{0.7})
-	if !d.Saturated()[0] {
+	if !d.SaturatedAt(0) {
 		t.Fatal("not latched")
 	}
 	d.Reset(0)
-	if d.Saturated()[0] {
+	if d.SaturatedAt(0) {
 		t.Error("Reset did not clear")
 	}
 }
@@ -237,6 +237,7 @@ func TestDetectorReset(t *testing.T) {
 func TestDetectorValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewDetector(1, -0.1, 1) },
+		func() { NewDetector(1, units.RawUtil(math.NaN()), 1) },
 		func() { NewDetector(1, 0, 0) },
 	} {
 		func() {
@@ -411,6 +412,15 @@ func TestControllerConfigValidation(t *testing.T) {
 		{ReclaimMargin: -0.1},
 		{RestoreLeeway: -0.1},
 		{RestoreSlack: -0.1},
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		bad = append(bad,
+			Config{SaturationThreshold: units.RawUtil(x)},
+			Config{ReclaimMargin: units.RawUtil(x)},
+			Config{RestoreLeeway: x},
+			Config{RestoreSlack: units.RawUtil(x)},
+			Config{RestoreEpsilon: units.RawUtil(x)},
+		)
 	}
 	for i, cfg := range bad {
 		if _, err := New(st, cfg); err == nil {

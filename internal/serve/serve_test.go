@@ -291,6 +291,28 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocs pins the strict decoder's per-body allocation count,
+// and that a trailing newline (json.Encoder and `curl -d @file` both send
+// one) costs no more than a bare body.
+func TestDecodeAllocs(t *testing.T) {
+	const body = `{"workload":{"name":"testbed"},"duration_s":2,"noise":{"spread":0.15,"seed":3}}`
+	var allocs [2]float64
+	for i, in := range []string{body, body + "\n"} {
+		r := strings.NewReader(in)
+		allocs[i] = testing.AllocsPerRun(100, func() {
+			r.Reset(in)
+			var spec RunSpec
+			if err := decode(r, &spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[0] > 12 || allocs[1] > allocs[0] {
+		t.Errorf("decode allocates %.1f/op bare and %.1f/op with a trailing newline, want <= 12 and no more with the newline",
+			allocs[0], allocs[1])
+	}
+}
+
 // TestShutdownDrain asserts the graceful-shutdown contract: every request
 // accepted before Shutdown gets a complete response, none are dropped.
 func TestShutdownDrain(t *testing.T) {

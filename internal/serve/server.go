@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"github.com/autoe2e/autoe2e/internal/trace/colfmt"
 )
@@ -44,15 +46,37 @@ func writeError(w http.ResponseWriter, status int, msg string, retryAfterS int) 
 // errTrailingData rejects a body that holds more than one JSON value.
 var errTrailingData = errors.New("trailing data after the JSON value")
 
+// bodyBufs pools the buffers decode reads request bodies into, so reading
+// a body whole allocates nothing once the pool is warm.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps the bodies whose buffer goes back to the pool, so one
+// large request does not pin its buffer for the life of the process.
+const maxPooledBody = 64 << 10
+
 // decode strictly decodes one JSON request body into v: unknown fields
-// are an error, and so is anything but whitespace after the value.
+// are an error, and so is anything but whitespace after the value. The
+// body is read whole first, so the trailing check scans bytes in hand;
+// asking the decoder for a next token instead makes it grow its buffer
+// whenever whitespace follows the value.
 func decode(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return err
+	}
+	data := buf.Bytes() // still valid after the decoder drains buf
+	dec := json.NewDecoder(buf)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if _, err := dec.Token(); err != io.EOF {
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
 		return errTrailingData
 	}
 	return nil

@@ -234,23 +234,6 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
-func TestRandForkIndependence(t *testing.T) {
-	a := NewRand(7)
-	f1 := a.Fork()
-	// Consuming from the fork must not perturb the parent relative to a
-	// parent that forked and discarded.
-	b := NewRand(7)
-	_ = b.Fork()
-	for i := 0; i < 16; i++ {
-		f1.Float64()
-	}
-	for i := 0; i < 16; i++ {
-		if a.Float64() != b.Float64() {
-			t.Fatal("fork consumption perturbed parent stream")
-		}
-	}
-}
-
 func TestRandUniformBounds(t *testing.T) {
 	r := NewRand(1)
 	if err := quick.Check(func(loRaw, span uint16) bool {

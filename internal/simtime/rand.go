@@ -114,10 +114,3 @@ func (r *Rand) Uniform(lo, hi float64) float64 {
 func (r *Rand) Gaussian(mean, stddev float64) float64 {
 	return mean + stddev*r.src.NormFloat64()
 }
-
-// Fork derives an independent deterministic stream from this one. Components
-// that consume randomness at data-dependent rates should each own a fork so
-// that adding noise consumption in one component does not perturb another.
-func (r *Rand) Fork() *Rand {
-	return NewRand(r.x.Int63())
-}

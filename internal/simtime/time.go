@@ -56,9 +56,6 @@ func At(s float64) Time { return Time(FromSeconds(s)) }
 // Seconds reports the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Millis reports the duration as floating-point milliseconds.
-func (d Duration) Millis() float64 { return float64(d) / float64(Millisecond) }
-
 // Std converts the simulated duration to a time.Duration for interoperation
 // with standard-library formatting.
 func (d Duration) Std() time.Duration { return time.Duration(d) * time.Microsecond }

@@ -1,12 +1,9 @@
 // Package stats provides the summary statistics used by the experiment
-// harnesses: means, extrema, percentiles, and error metrics for comparing
+// harnesses: means, extrema, and error metrics for comparing
 // controller trajectories against references.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean, or 0 for empty input.
 func Mean(v []float64) float64 {
@@ -69,29 +66,6 @@ func RMS(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s / float64(len(v)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) by linear
-// interpolation between closest ranks, or 0 for empty input.
-func Percentile(v []float64, p float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), v...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // ApproxEqual reports whether a and b agree within tol, comparing the

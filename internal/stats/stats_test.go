@@ -41,34 +41,7 @@ func TestMeanAbsAndRMS(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	v := []float64{1, 2, 3, 4, 5}
-	tests := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {-5, 1}, {110, 5},
-	}
-	for _, tt := range tests {
-		if got := Percentile(v, tt.p); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	// Interpolation between ranks.
-	if got := Percentile([]float64{0, 10}, 25); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("P25 of {0,10} = %v, want 2.5", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty Percentile != 0")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	v := []float64{3, 1, 2}
-	Percentile(v, 50)
-	if v[0] != 3 || v[1] != 1 || v[2] != 2 {
-		t.Error("Percentile sorted its input in place")
-	}
-}
-
-// Property: Min ≤ Mean ≤ Max and P0 = Min, P100 = Max.
+// Property: Min ≤ Mean ≤ Max.
 func TestOrderingProperty(t *testing.T) {
 	if err := quick.Check(func(raw []int8) bool {
 		if len(raw) == 0 {
@@ -79,8 +52,7 @@ func TestOrderingProperty(t *testing.T) {
 			v[i] = float64(x)
 		}
 		m := Mean(v)
-		return Min(v) <= m+1e-9 && m <= Max(v)+1e-9 &&
-			Percentile(v, 0) == Min(v) && Percentile(v, 100) == Max(v)
+		return Min(v) <= m+1e-9 && m <= Max(v)+1e-9
 	}, nil); err != nil {
 		t.Error(err)
 	}

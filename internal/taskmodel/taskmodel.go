@@ -129,16 +129,16 @@ func (s *System) Validate() error {
 		if len(task.Subtasks) == 0 {
 			return fmt.Errorf("taskmodel: task %q has no subtasks", task.Name)
 		}
-		if !finite(task.RateMin.Float()) || task.RateMin <= 0 {
+		if !Finite(task.RateMin.Float()) || task.RateMin <= 0 {
 			return fmt.Errorf("taskmodel: task %q RateMin = %v, want finite > 0", task.Name, task.RateMin)
 		}
-		if !finite(task.RateMax.Float()) || task.RateMax < task.RateMin {
+		if !Finite(task.RateMax.Float()) || task.RateMax < task.RateMin {
 			return fmt.Errorf("taskmodel: task %q RateMax %v < RateMin %v", task.Name, task.RateMax, task.RateMin)
 		}
 		if task.InitRate == 0 {
 			task.InitRate = task.RateMin
 		}
-		if !finite(task.InitRate.Float()) || task.InitRate < task.RateMin || task.InitRate > task.RateMax {
+		if !Finite(task.InitRate.Float()) || task.InitRate < task.RateMin || task.InitRate > task.RateMax {
 			return fmt.Errorf("taskmodel: task %q InitRate %v outside [%v, %v]",
 				task.Name, task.InitRate, task.RateMin, task.RateMax)
 		}
@@ -150,13 +150,13 @@ func (s *System) Validate() error {
 			if sub.NominalExec <= 0 {
 				return fmt.Errorf("taskmodel: %v NominalExec = %v, want > 0", SubtaskRef{TaskID(ti), si}, sub.NominalExec)
 			}
-			if !finite(sub.MinRatio.Float()) || sub.MinRatio <= 0 || sub.MinRatio > 1 {
+			if !Finite(sub.MinRatio.Float()) || sub.MinRatio <= 0 || sub.MinRatio > 1 {
 				return fmt.Errorf("taskmodel: %v MinRatio = %v, want (0, 1]", SubtaskRef{TaskID(ti), si}, sub.MinRatio)
 			}
-			if !finite(sub.Weight) || sub.Weight < 0 {
+			if !Finite(sub.Weight) || sub.Weight < 0 {
 				return fmt.Errorf("taskmodel: %v Weight = %v, want finite >= 0", SubtaskRef{TaskID(ti), si}, sub.Weight)
 			}
-			if !finite(sub.RatioStep.Float()) || sub.RatioStep < 0 || sub.RatioStep >= 1 {
+			if !Finite(sub.RatioStep.Float()) || sub.RatioStep < 0 || sub.RatioStep >= 1 {
 				return fmt.Errorf("taskmodel: %v RatioStep = %v, want [0, 1)", SubtaskRef{TaskID(ti), si}, sub.RatioStep)
 			}
 			perECU[sub.ECU]++
@@ -172,7 +172,7 @@ func (s *System) Validate() error {
 		return fmt.Errorf("taskmodel: UtilBound length %d != NumECUs %d", len(s.UtilBound), s.NumECUs)
 	}
 	for j, b := range s.UtilBound {
-		if !finite(b.Float()) || b <= 0 || b > 1 {
+		if !Finite(b.Float()) || b <= 0 || b > 1 {
 			return fmt.Errorf("taskmodel: UtilBound[%d] = %v, want (0, 1]", j, b)
 		}
 	}
@@ -180,10 +180,10 @@ func (s *System) Validate() error {
 	return nil
 }
 
-// finite reports whether x is neither NaN nor ±Inf. Validate's range
-// checks are ordered comparisons, which NaN passes, so every float field
-// goes through it first.
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+// Finite reports whether x is neither NaN nor ±Inf. Range checks are
+// ordered comparisons, which NaN passes, so every validated float field
+// (here and in the controllers' configs) goes through it first.
+func Finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // buildOnECU computes the S_j sets of Equation (2) for every ECU, in task
 // order.

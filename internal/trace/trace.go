@@ -42,14 +42,6 @@ func (s *Series) Add(t, v float64) {
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.T) }
 
-// Last returns the most recent value, or 0 for an empty series.
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
-
 // Values returns the raw values slice (not a copy; callers must not
 // mutate).
 func (s *Series) Values() []float64 { return s.V }

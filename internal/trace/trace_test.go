@@ -12,7 +12,7 @@ func TestRecorderBasics(t *testing.T) {
 	r.Add("u0", 1, 0.6)
 	r.Add("u1", 0, 0.2)
 	s := r.Series("u0")
-	if s == nil || s.Len() != 2 || s.Last() != 0.6 {
+	if s == nil || s.Len() != 2 || s.V[1] != 0.6 {
 		t.Fatalf("u0 series wrong: %+v", s)
 	}
 	if r.Series("missing") != nil {

@@ -122,7 +122,9 @@ perfbench-smoke:
 
 # fuzz-smoke runs every native fuzz target — the three colfmt codec
 # targets, the inner MPC solver's, the serve request boundary's (decode
-# and validation only) and the fork-versus-replay target (each input runs
+# and validation only), the library run config's (small systems and
+# middleware knobs; each accepted input runs three times, most are
+# rejected by Validate) and the fork-versus-replay target (each input runs
 # a scenario three times, so it gets fewer inputs) — for a fixed number of
 # inputs (-fuzztime Nx, so the amount of work does not depend on machine
 # speed) on one worker. go test fuzzes one target per invocation, hence
@@ -134,6 +136,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderRobustness$$' -fuzztime 5000x -parallel 1 ./internal/trace/colfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveNormal$$' -fuzztime 5000x -parallel 1 ./internal/eucon
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestBoundary$$' -fuzztime 5000x -parallel 1 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRunConfig$$' -fuzztime 20000x -parallel 1 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzForkMatchesReplay$$' -fuzztime 50x -parallel 1 ./internal/scenario
 
 # loc prints the production Go line count per package directory and the

@@ -18,8 +18,8 @@ import (
 // allocates nothing at steady state. src is only read, so many sessions
 // may copy from one source concurrently.
 //
-// The copy fails if src's engine holds an event it cannot rebind: a
-// closure or an Attach-installed ticker. s is then left unbuilt, so its
+// The copy fails if src's engine holds an event it cannot rebind, such as
+// one an Attach hook scheduled. s is then left unbuilt, so its
 // next run rebuilds it.
 func (s *Session) copyFrom(src *Session) error {
 	if !s.hasShape(src.sys, src.mwCfg) {
@@ -115,14 +115,6 @@ func (cp *Checkpoint) At() simtime.Time {
 // System returns the captured session's (immutable, shared) task system.
 func (cp *Checkpoint) System() *taskmodel.System { return cp.s.sys }
 
-// PendingEvents reports how many engine events the checkpoint holds queued.
-func (cp *Checkpoint) PendingEvents() int {
-	if !cp.s.built {
-		return 0
-	}
-	return cp.s.eng.Pending()
-}
-
 // Snapshot captures the session's complete live state as a new caller-owned
 // Checkpoint. The canonical use is mid-run, after RunPartial: the
 // checkpoint then seeds any number of divergent continuations (Restore +
@@ -130,10 +122,10 @@ func (cp *Checkpoint) PendingEvents() int {
 // replaying its prefix. RunTree forks copy from the live prefix session
 // directly and take no snapshot.
 //
-// Snapshot fails if the engine holds events it cannot rebind — closures
-// scheduled by Attach hooks or engine tickers; runs meant to be forked must
-// keep their scripted behavior in RunConfig.Events. The session itself is
-// never modified.
+// Snapshot fails if the engine holds events it cannot rebind — events an
+// Attach hook scheduled, engine tickers among them; runs meant to be
+// forked must keep their scripted behavior in RunConfig.Events. The
+// session itself is never modified.
 func (s *Session) Snapshot() (*Checkpoint, error) {
 	return s.SnapshotInto(nil)
 }

@@ -210,12 +210,12 @@ func TestRunOnChainAndAttach(t *testing.T) {
 		Duration:   5 * simtime.Second,
 		OnChain:    func(ev sched.ChainEvent) { chains++ },
 		Attach: func(eng *simtime.Engine, st *taskmodel.State) {
-			var tick simtime.EventFunc
-			tick = func(now simtime.Time) {
+			var tick simtime.CallFunc
+			tick = func(simtime.Time, any) {
 				ticks++
-				eng.After(100*simtime.Millisecond, tick)
+				eng.AfterCall(100*simtime.Millisecond, tick, nil)
 			}
-			eng.After(100*simtime.Millisecond, tick)
+			eng.AfterCall(100*simtime.Millisecond, tick, nil)
 		},
 	})
 	if err != nil {

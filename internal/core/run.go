@@ -24,7 +24,7 @@ type Event struct {
 
 // RunConfig describes one experiment run end to end.
 type RunConfig struct {
-	// System is the validated task set. Required.
+	// System is the task set, validated by the run. Required.
 	System *taskmodel.System
 	// Setup optionally adjusts the initial operating point (e.g. apply
 	// baseline.OpenLoop, pre-shed precision) before the scheduler starts.

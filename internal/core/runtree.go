@@ -31,7 +31,7 @@ type TreeConfig struct {
 	// states, giving every branch the prefix's exact history. Base must
 	// return an equivalent config each call: same System pointer, same
 	// middleware config, same model stack shape, same Events. Attach is not
-	// supported (its closures cannot be copied); keep scripted
+	// supported (its events cannot be copied); keep scripted
 	// behavior in Events.
 	Base func() RunConfig
 	// ForkAt is the divergence instant, in (0, Duration).

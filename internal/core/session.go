@@ -298,6 +298,9 @@ func (s *Session) resetWarm(cfg RunConfig, schedCfg sched.Config) {
 // path that allocates by design.
 func (s *Session) rebuild(cfg RunConfig, mwCfg Config, schedCfg sched.Config) error {
 	s.built = false
+	if err := cfg.System.Validate(); err != nil {
+		return err
+	}
 	eng := simtime.NewEngine()
 	rec := trace.NewRecorder()
 	state := taskmodel.NewState(cfg.System)

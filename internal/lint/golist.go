@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -21,16 +22,14 @@ type listedPackage struct {
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	// ForTest is set on the test variants -test adds. The loader skips
-	// them, and the pkg.test mains, building its own test packages from
-	// TestGoFiles and XTestGoFiles.
-	ForTest string
-	Module  *struct{ Main bool }
-	Error   *struct{ Err string }
+	Imports      []string
+	TestImports  []string
+	XTestImports []string
+	Error        *struct{ Err string }
 }
 
 // listFields names listedPackage's fields, so go list computes no others.
-const listFields = "-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,ForTest,Module,Error"
+const listFields = "-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports,Error"
 
 // moduleList is one module root as the go tool lists it: the main
 // module's packages in import-path order.
@@ -50,17 +49,17 @@ func (m *moduleList) lookup(path string) *listedPackage {
 
 // listCache memoizes `go list` runs for the process, the way escapeCache
 // memoizes the escape build: one listing per module root, and every
-// package any run listed, by import path, for its export data.
+// package any run listed with export data, by import path.
 var listCache = struct {
 	sync.Mutex
 	modules map[string]*moduleList
 	exports map[string]*listedPackage
 }{modules: make(map[string]*moduleList), exports: make(map[string]*listedPackage)}
 
-// listModule lists the module rooted at root with
-// `go list -e -json -deps -test -export ./...`: the module's packages
-// with the files their build constraints select, and the export data of
-// every dependency, the test files' own included.
+// listModule lists the module rooted at root with `go list -e -json ./...`
+// (each package's build-selected files and their imports), then has a
+// second run, `go list -e -json -deps -export`, compile only the imports
+// from outside the module: the module itself is type-checked from source.
 func listModule(root string) (*moduleList, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -71,15 +70,25 @@ func listModule(root string) (*moduleList, error) {
 	if m := listCache.modules[abs]; m != nil {
 		return m, nil
 	}
-	listed, err := goList(abs, "-test", "./...")
+	listed, err := goList(abs, "./...")
 	if err != nil {
 		return nil, err
 	}
-	m := &moduleList{index: make(map[string]*listedPackage)}
+	m := &moduleList{pkgs: listed, index: make(map[string]*listedPackage)}
 	for _, lp := range listed {
-		if lp.Module != nil && lp.Module.Main && lp.ForTest == "" && !strings.HasSuffix(lp.ImportPath, ".test") {
-			m.pkgs = append(m.pkgs, lp)
-			m.index[lp.ImportPath] = lp
+		m.index[lp.ImportPath] = lp
+	}
+	deps := []string{"-deps", "-export"} // go list drops repeated paths
+	for _, lp := range listed {
+		for _, path := range slices.Concat(lp.Imports, lp.TestImports, lp.XTestImports) {
+			if m.index[path] == nil {
+				deps = append(deps, path)
+			}
+		}
+	}
+	if len(deps) > 2 {
+		if _, err := goList(abs, deps...); err != nil {
+			return nil, err
 		}
 	}
 	sort.Slice(m.pkgs, func(i, j int) bool { return m.pkgs[i].ImportPath < m.pkgs[j].ImportPath })
@@ -96,7 +105,7 @@ func openExport(path string) (io.ReadCloser, error) {
 	defer listCache.Unlock()
 	lp := listCache.exports[path]
 	if lp == nil {
-		if _, err := goList("", path); err != nil {
+		if _, err := goList("", "-deps", "-export", path); err != nil {
 			return nil, err
 		}
 		lp = listCache.exports[path]
@@ -112,11 +121,11 @@ func openExport(path string) (io.ReadCloser, error) {
 	return os.Open(lp.Export)
 }
 
-// goList runs `go list -e -json -deps -export` on args in dir and records
-// every listed package but the test variants in listCache, whose lock the
-// caller holds.
+// goList runs `go list -e -json` on args in dir and records every package
+// it lists with export data (asked for with an -export arg) or an error in
+// listCache, whose lock the caller holds.
 func goList(dir string, args ...string) ([]*listedPackage, error) {
-	cmd := exec.Command("go", append([]string{"list", "-e", listFields, "-deps", "-export"}, args...)...)
+	cmd := exec.Command("go", append([]string{"list", "-e", listFields}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -130,7 +139,7 @@ func goList(dir string, args ...string) ([]*listedPackage, error) {
 		if err := dec.Decode(lp); err != nil {
 			return nil, fmt.Errorf("lint: reading go list output: %w", err)
 		}
-		if lp.ForTest == "" {
+		if lp.Export != "" || lp.Error != nil {
 			listCache.exports[lp.ImportPath] = lp
 		}
 		listed = append(listed, lp)

@@ -301,11 +301,11 @@ func TestAllowHygiene(t *testing.T) {
 // would prove nothing. A function that must not allocate is either inside
 // the reach of a //lint:certify noalloc root or becomes one.
 const (
-	repoAllowCount     = 49 // -1: trace.PlotASCII, whose degenerate-range guard carried a floateq allow, is gone
+	repoAllowCount     = 42 // -7: the negative-delay panic allow left with simtime.Engine.After; the two nil-callback allows of ScheduleCall/ScheduleCallPre are one, in enqueue; System.OnECU's first-use cache build is gone (runs validate the System), with its allow, the three call-site allows it needed and buildOnECU's
 	repoStickyCount    = 21 // +1: Session.res, the published result view, which the Session copy leaves to Resume
 	repoNoallocCount   = 0  // -27: 19 sat inside a noalloc root's reach; the rest became certify roots
-	repoCertifyCount   = 24 // +5: simtime.Engine.After, colfmt.AppendMagic/AppendRun, serve.appendSummary/appendTiming
-	repoHookpointCount = 17 // -3: Middleware driver dispatch; only the pooled Scheduler implements sched.Driver in non-test code
+	repoCertifyCount   = 23 // -1: simtime.Engine.After, gone with closure scheduling
+	repoHookpointCount = 12 // -5: the six callback sites of Engine.Run/RunBefore/Step are one, in Engine.fire
 )
 
 func TestAnnotationInventory(t *testing.T) {

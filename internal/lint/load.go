@@ -30,13 +30,14 @@ type Package struct {
 }
 
 // Loader parses and type-checks packages, taking its package graph from
-// the go tool: one `go list -e -json -deps -test -export` run per module
-// root (see listModule) names each package's directory and the files its
-// build constraints select. The module's own packages are parsed and
-// type-checked from those files, because the call graph needs their
-// bodies; every other import — the standard library, or a fixture's
-// import of a module package — is read from the export data the go tool
-// compiled, through the "gc" importer. `effects` already needs the go
+// the go tool: one `go list -e -json ./...` run per module root (see
+// listModule) names each package's directory, the files its build
+// constraints select and their imports. The module's own packages are
+// parsed and type-checked from those files, because the call graph needs
+// their bodies; every other import — the standard library, or a fixture's
+// import of a module package — is read from the export data a second
+// `go list -deps -export` run has the go tool compile, through the "gc"
+// importer. `effects` already needs the go
 // tool for the compiler's escape facts, so this adds no dependency.
 //
 // Module-internal imports are special-cased: once LoadModule (or

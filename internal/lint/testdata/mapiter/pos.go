@@ -36,3 +36,15 @@ func feedSink(m map[string]float64, rec recorder) {
 		rec.Add(name, v) // want "order-sensitive sink"
 	}
 }
+
+// engine stands in for the simtime event queue: same-instant events run
+// in scheduling order.
+type engine struct{}
+
+func (engine) ScheduleCall(at int64, fn func(int64, any), arg any) {}
+
+func scheduleInRange(m map[string]int64, eng engine, fn func(int64, any)) {
+	for name, at := range m {
+		eng.ScheduleCall(at, fn, name) // want "order-sensitive sink"
+	}
+}

@@ -282,7 +282,7 @@ func (o *Controller) runRestoreRound(res *Result) {
 // any further.
 func (o *Controller) ratesSaturatedOn(j int) bool {
 	seen := false
-	for _, ref := range o.state.System().OnECU(j) { //lint:allow effects System.OnECU builds its index once, then serves the cache
+	for _, ref := range o.state.System().OnECU(j) {
 		seen = true
 		if !o.state.RateSaturated(ref.Task, 0.02) {
 			return false

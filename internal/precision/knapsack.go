@@ -47,7 +47,7 @@ type Workspace struct {
 func (w *Workspace) collect(st *taskmodel.State, ecu int, decrease bool) []ratioItem {
 	sys := st.System()
 	out := w.items[:0]
-	for _, ref := range sys.OnECU(ecu) { //lint:allow effects System.OnECU builds its index once, then serves the cache
+	for _, ref := range sys.OnECU(ecu) {
 		sub := sys.Subtask(ref)
 		if !sub.Adjustable() {
 			continue

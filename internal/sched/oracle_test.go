@@ -8,6 +8,14 @@ import (
 	"github.com/autoe2e/autoe2e/internal/units"
 )
 
+// schedule runs the closure fn at the given instant as an ordinary
+// ScheduleCall event.
+func schedule(eng *simtime.Engine, at simtime.Time, fn simtime.EventFunc) simtime.EventID {
+	return eng.ScheduleCall(at, callClosure, fn)
+}
+
+func callClosure(now simtime.Time, arg any) { arg.(simtime.EventFunc)(now) }
+
 // Reference is the retained naive scheduler: a fresh chain and job per
 // release, a closure per scheduled event, and a map for the release-guard
 // state. It issues exactly the same engine calls in exactly the same order
@@ -65,7 +73,7 @@ func (s *Reference) Start() {
 	s.started = true
 	for ti := range s.sys.Tasks {
 		ti := taskmodel.TaskID(ti)
-		s.eng.Schedule(s.eng.Now(), func(now simtime.Time) { s.releaseFirst(ti, now) })
+		schedule(s.eng, s.eng.Now(), func(now simtime.Time) { s.releaseFirst(ti, now) })
 	}
 }
 
@@ -110,8 +118,8 @@ func (s *Reference) releaseFirst(ti taskmodel.TaskID, now simtime.Time) {
 	// The deadline event aborts the chain if it has not completed. It is
 	// scheduled before the next release so that, at equal timestamps, the
 	// previous instance resolves before a new one starts.
-	s.eng.Schedule(c.deadline, func(simtime.Time) { s.chainDeadline(c) })
-	s.eng.Schedule(now.Add(period), func(next simtime.Time) { s.releaseFirst(ti, next) })
+	schedule(s.eng, c.deadline, func(simtime.Time) { s.chainDeadline(c) })
+	schedule(s.eng, now.Add(period), func(next simtime.Time) { s.releaseFirst(ti, next) })
 	s.releaseStage(c, 0, now)
 }
 
@@ -128,7 +136,7 @@ func (s *Reference) releaseStage(c *refChain, stage int, now simtime.Time) {
 		}
 	}
 	if at > now {
-		s.eng.Schedule(at, func(t simtime.Time) { s.admitJob(c, stage, t) })
+		schedule(s.eng, at, func(t simtime.Time) { s.admitJob(c, stage, t) })
 		return
 	}
 	s.admitJob(c, stage, now)
@@ -175,7 +183,7 @@ func (s *Reference) jobFinished(j *refJob, now simtime.Time) {
 			delay = s.cfg.LinkDelay(from, to)
 		}
 		if delay > 0 {
-			s.eng.Schedule(now.Add(delay), func(t simtime.Time) {
+			schedule(s.eng, now.Add(delay), func(t simtime.Time) {
 				if !c.dead {
 					s.releaseStage(c, next, t)
 				}
@@ -296,7 +304,7 @@ func (e *refECURunner) dispatch(now simtime.Time) {
 	next := heap.Pop(&e.ready).(*refJob)
 	e.running = next
 	e.startedAt = now
-	e.completion = e.sched.eng.Schedule(now.Add(next.remaining), e.complete)
+	e.completion = schedule(e.sched.eng, now.Add(next.remaining), e.complete)
 }
 
 // haltRunning stops the running job, charging its elapsed CPU time and

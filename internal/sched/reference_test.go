@@ -67,7 +67,7 @@ type startedDriver interface {
 func runDriver(d startedDriver, eng *simtime.Engine) (utils []units.Util, counters []TaskCounter) {
 	st := d.State()
 	for _, step := range rateSteps {
-		eng.Schedule(step.at, func(simtime.Time) {
+		schedule(eng, step.at, func(simtime.Time) {
 			for ti, task := range st.System().Tasks {
 				st.SetRate(taskmodel.TaskID(ti), task.RateMin*step.factor)
 			}

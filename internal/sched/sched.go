@@ -16,9 +16,9 @@
 // Scheduler is the production implementation: chains and jobs are recycled
 // through intrusive free lists owned by the Scheduler, release-guard state
 // lives in a dense per-subtask slice, and every event is scheduled through
-// the engine's closure-free ScheduleCall path, so a steady-state simulation
-// performs zero heap allocations per chain instance, from its release
-// through every admission and completion to its deadline.
+// a package-level trampoline and a pooled argument, so a steady-state
+// simulation performs zero heap allocations per chain instance, from its
+// release through every admission and completion to its deadline.
 // The test files retain Reference, the naive allocating implementation;
 // the equivalence tests require byte-identical traces between the two.
 package sched

@@ -320,7 +320,7 @@ func TestRateChangeTakesEffectNextRelease(t *testing.T) {
 	st := taskmodel.NewState(sys)
 	s := New(eng, st, Config{Exec: exectime.Nominal{}})
 	s.Start()
-	eng.Schedule(simtime.At(0.05), func(simtime.Time) { st.SetRate(0, 20) })
+	schedule(eng, simtime.At(0.05), func(simtime.Time) { st.SetRate(0, 20) })
 	eng.Run(simtime.At(0.99))
 	// Releases: t=0, t=0.1 (old period still in flight), then every 50ms:
 	// 0.15, 0.20, ..., 0.95 → 1 + 1 + 17 = 19.

@@ -41,7 +41,7 @@ func runReference(t *testing.T, cfg core.RunConfig) *core.RunResult {
 	}
 	for _, ev := range cfg.Events {
 		ev := ev
-		eng.Schedule(ev.At, func(simtime.Time) { ev.Do(state) })
+		eng.ScheduleCall(ev.At, func(simtime.Time, any) { ev.Do(state) }, nil)
 	}
 	if cfg.Attach != nil {
 		cfg.Attach(eng, state)

@@ -1,18 +1,16 @@
 package simtime
 
-import (
-	"fmt"
-)
+import "fmt"
 
-// EventFunc is the body of a scheduled event. It runs with the engine clock
-// set to the event's instant and may schedule further events.
+// EventFunc is the body of a periodic process started by Every. It runs
+// with the clock at the occurrence's instant and may schedule events.
 type EventFunc func(now Time)
 
-// CallFunc is the body of a closure-free scheduled event: a long-lived
-// function (typically package-level) invoked with the argument captured at
-// scheduling time. Hot paths that would otherwise allocate one closure per
-// event pre-bind a CallFunc once and pass per-event state through arg —
-// a pointer-shaped arg makes ScheduleCall allocation-free.
+// CallFunc is the body of every scheduled event: a long-lived function
+// (typically package-level) invoked with the argument captured at
+// scheduling time. Per-event state travels in arg, so no event needs a
+// closure of its own, and a pointer-shaped arg makes scheduling
+// allocation-free.
 type CallFunc func(now Time, arg any)
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
@@ -34,7 +32,6 @@ type EventID uint64
 type eventSlot struct {
 	gen     uint32 // bumped on release; stale IDs fail the generation check
 	heapIdx int32  // position in the heap, -1 when not queued
-	fn      EventFunc
 	call    CallFunc
 	arg     any
 }
@@ -64,9 +61,11 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.ord < b.ord
 }
 
-// Engine is a deterministic discrete-event simulation engine. Events
-// scheduled for the same instant run in scheduling order (FIFO), which keeps
-// runs reproducible regardless of map iteration or goroutine interleaving.
+// Engine is a deterministic discrete-event simulation engine. Every event
+// is one kind: a CallFunc and its argument, run by one fire step that Run,
+// RunBefore and Step share. Events scheduled for the same instant run in
+// scheduling order (FIFO), which keeps runs reproducible regardless of map
+// iteration or goroutine interleaving.
 //
 // Engine is not safe for concurrent use; the simulation is single-threaded
 // by design so that identical seeds yield identical traces.
@@ -77,7 +76,7 @@ func (a heapEntry) less(b heapEntry) bool {
 // compare entries without indexing the arena, and EventIDs carry
 // slot+generation so Cancel needs no map. After warm-up the engine performs
 // no heap allocations. The test files retain ReferenceEngine, the naive
-// boxed implementation the equivalence tests compare against.
+// closure-based implementation the equivalence tests compare against.
 type Engine struct {
 	now     Time
 	slots   []eventSlot
@@ -99,16 +98,10 @@ func NewEngine() *Engine { return &Engine{} }
 // event ordering is a total order on (at, pre, seq) either way, so a reset
 // engine replays a schedule identically to a fresh one.
 func (e *Engine) Reset() {
-	for i := range e.slots {
-		s := &e.slots[i]
-		s.gen++
-		s.heapIdx = -1
-		s.fn, s.call, s.arg = nil, nil, nil
-	}
 	e.heap = e.heap[:0]
 	e.free = e.free[:0]
 	for i := len(e.slots) - 1; i >= 0; i-- {
-		e.free = append(e.free, uint32(i))
+		e.release(uint32(i))
 	}
 	e.now = 0
 	e.nextSeq = 0
@@ -124,9 +117,8 @@ func (e *Engine) Reset() {
 //
 // A pending event's argument points into src's session, so each one is
 // passed through rebind, which returns the destination session's
-// counterpart or an error for an argument it does not own (a ticker, an
-// instrumentation hook's state). Pending closure events (Schedule, After)
-// cannot be rebound and are refused. On error e's contents are
+// counterpart or an error for an argument it does not own (an Every
+// ticker, an instrumentation hook's state). On error e's contents are
 // unspecified; the caller must reset or rebuild it before running it.
 func (e *Engine) CopyFrom(src *Engine, rebind func(arg any) (any, error)) error {
 	if cap(e.slots) < len(src.slots) {
@@ -135,13 +127,9 @@ func (e *Engine) CopyFrom(src *Engine, rebind func(arg any) (any, error)) error 
 	e.slots = e.slots[:len(src.slots)]
 	for i, s := range src.slots {
 		if s.heapIdx >= 0 {
-			at := src.heap[s.heapIdx].at
-			if s.fn != nil {
-				return fmt.Errorf("simtime: copy: pending closure event at %v (slot %d); only ScheduleCall events with rebindable arguments can be copied", at, i)
-			}
 			arg, err := rebind(s.arg)
 			if err != nil {
-				return fmt.Errorf("simtime: copy: pending event at %v (slot %d): %w", at, i, err)
+				return fmt.Errorf("simtime: copy: pending event at %v (slot %d): %w", src.heap[s.heapIdx].at, i, err)
 			}
 			s.arg = arg
 		}
@@ -158,29 +146,13 @@ func (e *Engine) CopyFrom(src *Engine, rebind func(arg any) (any, error)) error 
 // Now reports the current simulated instant.
 func (e *Engine) Now() Time { return e.now }
 
-// Schedule enqueues fn to run at the given absolute instant. Scheduling in
-// the past (before Now) panics: it would silently reorder causality, which
-// is always a bug in the caller.
-//
-// The fn value itself is stored without allocating, but building a fresh
-// closure at the call site costs one allocation per event; steady-state
-// code should pre-bind a CallFunc and use ScheduleCall instead.
-func (e *Engine) Schedule(at Time, fn EventFunc) EventID {
-	if fn == nil {
-		panic("simtime: schedule with nil EventFunc")
-	}
-	return e.enqueue(at, fn, nil, nil, false)
-}
-
 // ScheduleCall enqueues fn(at, arg) to run at the given absolute instant.
-// It is the closure-free counterpart of Schedule: fn is a long-lived
-// function and arg carries the per-event state, so scheduling allocates
-// nothing when arg is pointer-shaped. Scheduling in the past panics.
+// fn is a long-lived function and arg carries the per-event state, so
+// scheduling allocates nothing when arg is pointer-shaped. Scheduling in
+// the past (before Now) panics: it would silently reorder causality, which
+// is always a bug in the caller. So does a nil fn.
 func (e *Engine) ScheduleCall(at Time, fn CallFunc, arg any) EventID {
-	if fn == nil {
-		panic("simtime: schedule with nil CallFunc") //lint:allow effects nil callback is a caller bug; failing loudly beats a silent lost event
-	}
-	return e.enqueue(at, nil, fn, arg, false)
+	return e.enqueue(at, fn, arg, false)
 }
 
 // ScheduleCallPre enqueues fn(at, arg) in the pre-band of the given instant:
@@ -196,24 +168,10 @@ func (e *Engine) ScheduleCall(at Time, fn CallFunc, arg any) EventID {
 // after earlier configured events at the instant, before runtime events —
 // which is what fork-vs-replay byte-identity requires.
 func (e *Engine) ScheduleCallPre(at Time, fn CallFunc, arg any) EventID {
-	if fn == nil {
-		panic("simtime: schedule with nil CallFunc") //lint:allow effects nil callback is a caller bug; failing loudly beats a silent lost event
-	}
-	return e.enqueue(at, nil, fn, arg, true)
+	return e.enqueue(at, fn, arg, true)
 }
 
-// After enqueues fn to run d after the current instant.
-//
-//lint:certify noalloc relative scheduling onto a recycled event slot through Schedule; the caller owns any closure it builds
-func (e *Engine) After(d Duration, fn EventFunc) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("simtime: negative delay %v", d)) //lint:allow effects panic-path boxing; a negative delay is a caller bug
-	}
-	return e.Schedule(e.now.Add(d), fn)
-}
-
-// AfterCall enqueues fn(now, arg) to run d after the current instant — the
-// closure-free counterpart of After.
+// AfterCall enqueues fn(now, arg) to run d after the current instant.
 func (e *Engine) AfterCall(d Duration, fn CallFunc, arg any) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: negative delay %v", d)) //lint:allow effects panic-path boxing; a negative delay is a caller bug
@@ -222,7 +180,10 @@ func (e *Engine) AfterCall(d Duration, fn CallFunc, arg any) EventID {
 }
 
 // enqueue places one event into a recycled (or fresh) slot and the heap.
-func (e *Engine) enqueue(at Time, fn EventFunc, call CallFunc, arg any, pre bool) EventID {
+func (e *Engine) enqueue(at Time, call CallFunc, arg any, pre bool) EventID {
+	if call == nil {
+		panic("simtime: schedule with nil CallFunc") //lint:allow effects nil callback is a caller bug; failing loudly beats a silent lost event
+	}
 	if at < e.now {
 		panic(fmt.Sprintf("simtime: schedule at %v before now %v", at, e.now)) //lint:allow effects panic-path boxing; scheduling in the past silently reorders causality
 	}
@@ -236,7 +197,7 @@ func (e *Engine) enqueue(at Time, fn EventFunc, call CallFunc, arg any, pre bool
 		idx = uint32(len(e.slots) - 1)
 	}
 	s := &e.slots[idx]
-	s.fn, s.call, s.arg = fn, call, arg
+	s.call, s.arg = call, arg
 	ord := e.nextSeq
 	if !pre {
 		ord |= nonPre
@@ -248,12 +209,12 @@ func (e *Engine) enqueue(at Time, fn EventFunc, call CallFunc, arg any, pre bool
 
 // release returns a slot to the free list and invalidates outstanding
 // EventIDs for it by bumping the generation. Callback references are
-// cleared so the arena does not retain dead closures or arguments.
+// cleared so the arena does not retain dead callbacks or arguments.
 func (e *Engine) release(idx uint32) {
 	s := &e.slots[idx]
 	s.gen++
 	s.heapIdx = -1
-	s.fn, s.call, s.arg = nil, nil, nil
+	s.call, s.arg = nil, nil
 	e.free = append(e.free, idx)
 }
 
@@ -294,24 +255,12 @@ func (e *Engine) Stop() { e.stopped = true }
 //
 //lint:certify noalloc,nopanic,deterministic event-loop drain: slot recycling and heap maintenance only; callbacks certify at their own roots
 func (e *Engine) Run(until Time) {
-	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 {
-		top := e.heap[0]
-		if top.at > until {
-			break
-		}
-		// Copy out before releasing: the slot may be reused by events the
-		// callback schedules, and its generation bump is what makes a
-		// Cancel of the currently executing event a no-op.
-		s := &e.slots[top.idx]
-		at, fn, call, arg := top.at, s.fn, s.call, s.arg
-		e.heapPopTop()
-		e.release(top.idx)
-		e.now = at
-		if call != nil {
-			call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-		} else {
-			fn(at) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
+	// Time is integer microseconds, so at <= until is at < until+1; no
+	// event is later than Never, so Run(Never) drains the queue.
+	if until < Never {
+		e.RunBefore(until + 1)
+	} else {
+		for e.stopped = false; !e.stopped && e.Step(); {
 		}
 	}
 	if !e.stopped && e.now < until {
@@ -328,45 +277,37 @@ func (e *Engine) Run(until Time) {
 //lint:certify noalloc,nopanic,deterministic prefix drain for Snapshot: same slot recycling as Run, stops strictly before t, no clock clamp
 func (e *Engine) RunBefore(t Time) {
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 {
-		top := e.heap[0]
-		if top.at >= t {
-			return
-		}
-		s := &e.slots[top.idx]
-		at, fn, call, arg := top.at, s.fn, s.call, s.arg
-		e.heapPopTop()
-		e.release(top.idx)
-		e.now = at
-		if call != nil {
-			call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-		} else {
-			fn(at) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-		}
+	for !e.stopped && len(e.heap) > 0 && e.heap[0].at < t {
+		e.fire()
 	}
 }
 
 // Step executes exactly one event if any is pending, and reports whether an
-// event ran. It is intended for tests that need to observe intermediate
-// states.
+// event ran. Tests use it to observe intermediate states; Run(Never)
+// drains the queue through it.
 //
 //lint:certify noalloc,nopanic,deterministic single-event drain used by state-observing tests; same contract as Run
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
+	e.fire()
+	return true
+}
+
+// fire pops the earliest pending event, moves the clock to its instant and
+// runs it. The heap must be non-empty.
+func (e *Engine) fire() {
 	top := e.heap[0]
+	// Copy out before releasing: the slot may be reused by events the
+	// callback schedules, and its generation bump is what makes a Cancel
+	// of the currently executing event a no-op.
 	s := &e.slots[top.idx]
-	at, fn, call, arg := top.at, s.fn, s.call, s.arg
+	call, arg := s.call, s.arg
 	e.heapPopTop()
 	e.release(top.idx)
-	e.now = at
-	if call != nil {
-		call(at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-	} else {
-		fn(at) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
-	}
-	return true
+	e.now = top.at
+	call(top.at, arg) //lint:hookpoint scheduled callbacks are certified at their own trampoline roots, not through the drain loop
 }
 
 // ticker is the re-armed state behind Every. One ticker is allocated per

@@ -2,9 +2,16 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
+
+// schedule runs the closure fn at the given instant as an ordinary
+// ScheduleCall event.
+func schedule(e *Engine, at Time, fn EventFunc) EventID { return e.ScheduleCall(at, callClosure, fn) }
+
+func callClosure(now Time, arg any) { arg.(EventFunc)(now) }
 
 func TestTimeConversions(t *testing.T) {
 	tests := []struct {
@@ -42,9 +49,9 @@ func TestTimeArithmetic(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(At(3), func(Time) { order = append(order, 3) })
-	e.Schedule(At(1), func(Time) { order = append(order, 1) })
-	e.Schedule(At(2), func(Time) { order = append(order, 2) })
+	schedule(e, At(3), func(Time) { order = append(order, 3) })
+	schedule(e, At(1), func(Time) { order = append(order, 1) })
+	schedule(e, At(2), func(Time) { order = append(order, 2) })
 	e.Run(At(10))
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -62,7 +69,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(At(1), func(Time) { order = append(order, i) })
+		schedule(e, At(1), func(Time) { order = append(order, i) })
 	}
 	e.Run(At(2))
 	for i := 0; i < 10; i++ {
@@ -79,10 +86,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	tick = func(now Time) {
 		count++
 		if count < 5 {
-			e.After(Second, tick)
+			schedule(e, e.Now().Add(Second), tick)
 		}
 	}
-	e.Schedule(0, tick)
+	schedule(e, 0, tick)
 	e.Run(At(100))
 	if count != 5 {
 		t.Errorf("count = %d, want 5", count)
@@ -95,7 +102,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineRunUntilBoundary(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Schedule(At(5), func(Time) { ran = true })
+	schedule(e, At(5), func(Time) { ran = true })
 	e.Run(At(4))
 	if ran {
 		t.Fatal("event at 5s ran with horizon 4s")
@@ -109,10 +116,42 @@ func TestEngineRunUntilBoundary(t *testing.T) {
 	}
 }
 
+// TestEngineRunInclusiveBound pins Run's horizon as inclusive down to the
+// microsecond, up to the last representable instant: an event at exactly
+// until runs, one a microsecond later stays pending.
+func TestEngineRunInclusiveBound(t *testing.T) {
+	e := NewEngine()
+	var seen []Time
+	record := func(now Time, _ any) { seen = append(seen, now) }
+	for _, at := range []Time{5, 6, math.MaxInt64 - 1, math.MaxInt64} {
+		e.ScheduleCall(at, record, nil)
+	}
+	for _, step := range []struct {
+		until   Time
+		ran     int
+		pending int
+	}{
+		{4, 0, 4},
+		{5, 1, 3},
+		{math.MaxInt64 - 2, 2, 2},
+		{math.MaxInt64 - 1, 3, 1},
+		{math.MaxInt64, 4, 0},
+	} {
+		e.Run(step.until)
+		if len(seen) != step.ran || e.Pending() != step.pending || e.Now() != step.until {
+			t.Fatalf("Run(%d): ran %v, pending %d, now %d; want %d ran, %d pending, now %d",
+				step.until, seen, e.Pending(), e.Now(), step.ran, step.pending, step.until)
+		}
+	}
+	if seen[3] != math.MaxInt64 {
+		t.Fatalf("last event ran at %d, want %d", seen[3], Time(math.MaxInt64))
+	}
+}
+
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	id := e.Schedule(At(1), func(Time) { ran = true })
+	id := schedule(e, At(1), func(Time) { ran = true })
 	if !e.Cancel(id) {
 		t.Fatal("Cancel reported not pending")
 	}
@@ -131,7 +170,7 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	ids := make([]EventID, 0, 5)
 	for i := 1; i <= 5; i++ {
 		i := i
-		ids = append(ids, e.Schedule(At(float64(i)), func(Time) { order = append(order, i) }))
+		ids = append(ids, schedule(e, At(float64(i)), func(Time) { order = append(order, i) }))
 	}
 	e.Cancel(ids[2]) // the event at 3s
 	e.Run(At(10))
@@ -150,7 +189,7 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 5; i++ {
-		e.Schedule(At(float64(i)), func(Time) {
+		schedule(e, At(float64(i)), func(Time) {
 			count++
 			if count == 2 {
 				e.Stop()
@@ -168,21 +207,21 @@ func TestEngineStop(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(At(5), func(Time) {})
+	schedule(e, At(5), func(Time) {})
 	e.Run(At(5))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(At(1), func(Time) {})
+	schedule(e, At(1), func(Time) {})
 }
 
 func TestStepObservesIntermediateState(t *testing.T) {
 	e := NewEngine()
 	var seen []Time
-	e.Schedule(At(1), func(now Time) { seen = append(seen, now) })
-	e.Schedule(At(2), func(now Time) { seen = append(seen, now) })
+	schedule(e, At(1), func(now Time) { seen = append(seen, now) })
+	schedule(e, At(2), func(now Time) { seen = append(seen, now) })
 	if !e.Step() {
 		t.Fatal("Step = false with pending events")
 	}
@@ -254,7 +293,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		var times []Time
 		for _, off := range offsets {
 			at := Time(off)
-			e.Schedule(at, func(now Time) { times = append(times, now) })
+			schedule(e, at, func(now Time) { times = append(times, now) })
 		}
 		e.Run(Never - 1)
 		for i := 1; i < len(times); i++ {

@@ -13,6 +13,7 @@ package taskmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/autoe2e/autoe2e/internal/simtime"
 	"github.com/autoe2e/autoe2e/internal/units"
@@ -112,8 +113,10 @@ func RMSBound(n int) units.Util {
 
 // Validate checks structural invariants and fills defaulted fields
 // (UtilBound from the RMS bound, InitRate from RateMin). It must be called
-// once before the system is used; it returns a descriptive error on the
-// first violation found.
+// before the system is used (a core run calls it when it builds for the
+// System); it returns a descriptive error on the first violation found.
+// It writes nothing to an unchanged System it already accepted, so it may
+// run while other goroutines read that System.
 func (s *System) Validate() error {
 	if s.NumECUs <= 0 {
 		return fmt.Errorf("taskmodel: NumECUs = %d, want > 0", s.NumECUs)
@@ -121,7 +124,6 @@ func (s *System) Validate() error {
 	if len(s.Tasks) == 0 {
 		return fmt.Errorf("taskmodel: empty task set")
 	}
-	perECU := make([]int, s.NumECUs)
 	for ti, task := range s.Tasks {
 		if task == nil {
 			return fmt.Errorf("taskmodel: task %d is nil", ti)
@@ -134,6 +136,15 @@ func (s *System) Validate() error {
 		}
 		if !Finite(task.RateMax.Float()) || task.RateMax < task.RateMin {
 			return fmt.Errorf("taskmodel: task %q RateMax %v < RateMin %v", task.Name, task.RateMax, task.RateMin)
+		}
+		// The controllers may move the rate anywhere in [RateMin, RateMax]:
+		// a period must be at least 1µs, and a deadline (one period per stage)
+		// must leave half the clock's range for the release it is added to.
+		if float64(len(task.Subtasks))/task.RateMin.Float() >= simtime.Unbounded.Seconds()/2 {
+			return fmt.Errorf("taskmodel: task %q RateMin %v gives a %d-period deadline past half the clock's range", task.Name, task.RateMin, len(task.Subtasks))
+		}
+		if task.RateMax.Period() < simtime.Microsecond {
+			return fmt.Errorf("taskmodel: task %q RateMax %v has a period below the clock's 1µs resolution", task.Name, task.RateMax)
 		}
 		if task.InitRate == 0 {
 			task.InitRate = task.RateMin
@@ -159,13 +170,13 @@ func (s *System) Validate() error {
 			if !Finite(sub.RatioStep.Float()) || sub.RatioStep < 0 || sub.RatioStep >= 1 {
 				return fmt.Errorf("taskmodel: %v RatioStep = %v, want [0, 1)", SubtaskRef{TaskID(ti), si}, sub.RatioStep)
 			}
-			perECU[sub.ECU]++
 		}
 	}
+	on := buildOnECU(s)
 	if s.UtilBound == nil {
 		s.UtilBound = make([]units.Util, s.NumECUs)
 		for j := range s.UtilBound {
-			s.UtilBound[j] = RMSBound(perECU[j])
+			s.UtilBound[j] = RMSBound(len(on[j]))
 		}
 	}
 	if len(s.UtilBound) != s.NumECUs {
@@ -176,7 +187,9 @@ func (s *System) Validate() error {
 			return fmt.Errorf("taskmodel: UtilBound[%d] = %v, want (0, 1]", j, b)
 		}
 	}
-	s.onECU = buildOnECU(s)
+	if !slices.EqualFunc(on, s.onECU, slices.Equal[[]SubtaskRef]) {
+		s.onECU = on
+	}
 	return nil
 }
 
@@ -188,7 +201,7 @@ func Finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // buildOnECU computes the S_j sets of Equation (2) for every ECU, in task
 // order.
 func buildOnECU(s *System) [][]SubtaskRef {
-	sets := make([][]SubtaskRef, s.NumECUs) //lint:allow effects cache construction, once per System (at Validate, or first use for unvalidated test Systems)
+	sets := make([][]SubtaskRef, s.NumECUs)
 	for ti, task := range s.Tasks {
 		for si := range task.Subtasks {
 			j := task.Subtasks[si].ECU
@@ -204,14 +217,9 @@ func (s *System) Subtask(ref SubtaskRef) *Subtask {
 }
 
 // OnECU returns the references of all subtasks placed on ECU j (the set S_j
-// of Equation 2), in task order. The returned slice is a shared cache built
-// at Validate time — callers iterate it but must not mutate or retain it
-// past the System's lifetime.
+// of Equation 2), in task order. The returned slice is a shared cache that
+// Validate builds, so the System must be validated first; callers iterate
+// it but must not mutate or retain it past the System's lifetime.
 func (s *System) OnECU(j int) []SubtaskRef {
-	if s.onECU == nil {
-		// Not yet validated (some unit tests construct Systems directly);
-		// fall back to building the cache on first use.
-		s.onECU = buildOnECU(s) //lint:allow effects first-use cache build for unvalidated Systems; Validate prebuilds it
-	}
 	return s.onECU[j]
 }

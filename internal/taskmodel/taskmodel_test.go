@@ -93,6 +93,8 @@ func TestValidateRejections(t *testing.T) {
 		{"bad rate min", func(s *System) { s.Tasks[0].RateMin = 0 }, "RateMin"},
 		{"rate range inverted", func(s *System) { s.Tasks[0].RateMax = 1 }, "RateMax"},
 		{"init rate outside", func(s *System) { s.Tasks[0].InitRate = 100 }, "InitRate"},
+		{"rate max period below 1us", func(s *System) { s.Tasks[0].RateMax = 3e6 }, "RateMax"},
+		{"rate min deadline overflows", func(s *System) { s.Tasks[0].RateMin = 1e-300 }, "RateMin"},
 		{"ecu out of range", func(s *System) { s.Tasks[0].Subtasks[0].ECU = 5 }, "ECU"},
 		{"zero exec", func(s *System) { s.Tasks[0].Subtasks[0].NominalExec = 0 }, "NominalExec"},
 		{"bad ratio", func(s *System) { s.Tasks[0].Subtasks[0].MinRatio = 0 }, "MinRatio"},
